@@ -1,18 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-parity test-mutation docs-check compile-check bench-service bench bench-smoke bench-json artifact-smoke shard-smoke compact-smoke anytime-smoke
+.PHONY: test test-parity test-mutation docs-check compile-check bench-service bench bench-smoke bench-json perfbench artifact-smoke shard-smoke compact-smoke anytime-smoke
 
 # Tier-1 suite (includes the docs link/section check).
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Just the byte-identity parity suites: solver backend (dict vs dense) and
-# bound-based pruning (on vs off). The fast gate to run after touching a
+# Just the byte-identity parity suites: solver backend (dict vs dense),
+# bound-based pruning (on vs off), and the GW moat growth against its frozen
+# union-find oracle (test_pcst.py). The fast gate to run after touching a
 # solver hot loop or a skip branch.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
-		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py -q
+		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
+		tests/core/test_pcst.py -q
 
 # The mutable-world gate: the mutation-parity suite (overlay serving and
 # post-compaction results byte-identical to a cold rebuild of the mutated
@@ -70,6 +72,13 @@ bench-json:
 		benchmarks/bench_artifact_scale.py -q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_anytime.json $(PYTHON) -m pytest \
 		benchmarks/bench_anytime.py -q -s -o python_files="bench_*.py"
+
+# The repo benchmark's solve-bound workload (perfbench/BENCHMARK.md): one
+# 20 s closed-loop explore-solve run, end-to-end metrics only. The first run
+# in a checkout builds the benchmark worlds under .bench_build/ (about a
+# minute). Every answer is checked; a wrong one prints "correct": false.
+perfbench:
+	python3 perfbench/run.py --workload explore-solve --seed 1 --seconds 20 --trace 0
 
 # End-to-end artifact gate through the CLI: build a small artifact, verify and
 # reload it, and answer one query per solver (exact gets a small window so its

@@ -1,4 +1,6 @@
-"""Ablation: the GW-based quota solver inside APP (DESIGN.md §5.1).
+"""Ablation: the GW-based quota solver inside APP.
+
+The design is listed in docs/ARCHITECTURE.md, "Deviations from the paper".
 
 The paper uses Garg's GW-based 3-approximation as the k-MST black box. This ablation
 measures what that machinery buys: it compares the candidate trees produced by the

@@ -1,4 +1,6 @@
-"""Ablation: TGEN's edge-processing order (Section 5, DESIGN.md §5.3).
+"""Ablation: TGEN's edge-processing order (Section 5).
+
+The knob is listed in docs/ARCHITECTURE.md, "Deviations from the paper".
 
 The paper states that processing edges in BFS order is as accurate as processing them
 in ascending length order while being faster (no sorting, and processed nodes' tuple

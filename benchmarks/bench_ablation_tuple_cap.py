@@ -1,4 +1,6 @@
-"""Ablation: capping TGEN's per-node tuple arrays (DESIGN.md §5.2).
+"""Ablation: capping TGEN's per-node tuple arrays.
+
+The knob is listed in docs/ARCHITECTURE.md, "Deviations from the paper".
 
 The tuple arrays are what make TGEN's enumeration polynomial; their size is bounded by
 Tmax = Nmax·⌊|VQ|/α⌋ but in dense windows they still dominate the runtime. This

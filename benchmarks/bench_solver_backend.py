@@ -4,7 +4,13 @@ Not a paper figure — this benchmarks the dense solver substrate
 (:mod:`repro.core.dense`). The claim: running the paper's online algorithms on
 the position-indexed :class:`~repro.core.dense.DenseInstance` arrays is **at
 least 2x faster** than the dict reference backend for Greedy and TGEN on the
-largest configuration, while producing byte-identical results.
+largest configuration, while producing byte-identical results. APP is timed
+on the windowed instances of the same workload, with no bar: both backends
+share its Goemans–Williamson moat growth (:mod:`repro.core.pcst`), the
+dominant part of an APP solve, so its row records that layer's trajectory run
+over run rather than a backend gap. (A window-less APP solve builds the
+terminal metric closure of the whole network, which is out of reach in pure
+Python at these scales.)
 
 Three checks:
 
@@ -16,8 +22,8 @@ Three checks:
    configuration. Greedy solves in well under a millisecond, so its loop runs
    ``GREEDY_INNER`` passes per timing sample to get out of timer jitter.
 2. **Fidelity** — every timed query is first checked byte-identical across the
-   backends (same region node/edge sets, bit-equal weight and length); APP and
-   Exact identity is enforced at tier-1 by
+   backends (same region node/edge sets, bit-equal weight and length); Exact
+   identity is enforced at tier-1 by
    ``tests/core/test_solver_backend_parity.py``.
 3. **Perf trajectory record** — set ``REPRO_BENCH_JSON=<path>`` (the
    ``make bench-json`` target does) to write the measured numbers as JSON, so
@@ -35,6 +41,7 @@ import os
 import time
 from typing import Dict, List
 
+from repro.core.app import APPSolver
 from repro.core.greedy import GreedySolver
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
@@ -65,6 +72,7 @@ else:
 
 SEED = 42
 MIN_SPEEDUP_LARGEST = 2.0
+BAR_SOLVERS = ("Greedy", "TGEN")
 REPEATS = 1 if SMOKE_SCALE else 3
 GREEDY_INNER = 2 if SMOKE_SCALE else 25
 
@@ -112,11 +120,18 @@ def test_bench_solver_backend_dense_2x():
         dense_instances = [instance.with_backend("dense") for instance in built]
 
         # --- fidelity first (also warms every path) ---
-        solvers = [(GreedySolver(), GREEDY_INNER), (TGENSolver(), 1)]
-        for solver, _ in solvers:
-            for instance_d, instance_n in zip(dict_instances, dense_instances):
-                a = solver.solve(instance_d)
-                b = solver.solve(instance_n)
+        # (solver, inner passes, indices of the instances it runs on)
+        everything = list(range(len(queries)))
+        windowed = [i for i, query in enumerate(queries) if query.region is not None]
+        solvers = [
+            (GreedySolver(), GREEDY_INNER, everything),
+            (TGENSolver(), 1, everything),
+            (APPSolver(), 1, windowed),
+        ]
+        for solver, _, picks in solvers:
+            for index in picks:
+                a = solver.solve(dict_instances[index])
+                b = solver.solve(dense_instances[index])
                 assert a.region.nodes == b.region.nodes, (label, solver.name)
                 assert a.region.edges == b.region.edges, (label, solver.name)
                 assert a.weight == b.weight and a.length == b.length, (
@@ -132,11 +147,12 @@ def test_bench_solver_backend_dense_2x():
             "queries": len(queries),
             "repeats": REPEATS,
         }
-        for solver, inner in solvers:
-            dict_seconds = _time_solves(solver, dict_instances, inner)
-            dense_seconds = _time_solves(solver, dense_instances, inner)
+        for solver, inner, picks in solvers:
+            dict_seconds = _time_solves(solver, [dict_instances[i] for i in picks], inner)
+            dense_seconds = _time_solves(solver, [dense_instances[i] for i in picks], inner)
             speedup = dict_seconds / dense_seconds
-            largest_speedups[solver.name] = speedup
+            if solver.name in BAR_SOLVERS:
+                largest_speedups[solver.name] = speedup
             rows_out.append([
                 f"{label} ({rows}x{cols}, Δ={delta:.0f})",
                 solver.name,

@@ -16,7 +16,8 @@ Note on the paper's formula: the paper's text prints the weight term as
 ``σ_{vj}/σmax`` (the weight of the already-included anchor node); ranking candidates
 by the anchor's weight cannot differentiate them, so — consistent with the algorithm's
 stated intent ("the node weight ... of the selecting node") — we use the candidate's
-weight ``σ_{vi}``. This interpretation is recorded here and in DESIGN.md.
+weight ``σ_{vi}``. This interpretation is also listed in
+docs/ARCHITECTURE.md, "Deviations from the paper".
 
 Candidate enumeration order is part of the determinism contract: each round scans
 the region's members in *insertion order* and each member's neighbours in graph

@@ -18,8 +18,8 @@ unnecessary leaves. Two engineering choices keep this practical in pure Python:
 * the λ ladder is computed once per query and cached, so APP's binary search over X
   costs one scan per probe instead of one GW run per probe.
 
-Both choices are documented in DESIGN.md and exercised by the ablation benchmark
-``bench_ablation_kmst.py``.
+Both choices are listed in docs/ARCHITECTURE.md, "Deviations from the paper",
+and exercised by the ablation benchmark ``bench_ablation_kmst.py``.
 """
 
 from __future__ import annotations

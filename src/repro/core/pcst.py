@@ -49,32 +49,6 @@ class PCSTResult:
         return max(self.trees, key=lambda tree: sum(prizes.get(v, 0.0) for v in tree[0]))
 
 
-class _DisjointSet:
-    """Union-find over integer node ids with path compression and union by size."""
-
-    def __init__(self, nodes: Iterable[int]) -> None:
-        self._parent: Dict[int, int] = {v: v for v in nodes}
-        self._size: Dict[int, int] = {v: 1 for v in self._parent}
-
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
-        return ra
-
-
 def goemans_williamson_pcst(
     nodes: Iterable[int],
     edges: Sequence[Tuple[int, int, float]],
@@ -104,42 +78,46 @@ def goemans_williamson_pcst(
         if prize < 0:
             raise SolverError(f"negative prize on node {v}: {prize}")
 
-    components = _DisjointSet(node_list)
-    # Per-component state, keyed by current representative.
-    active: Dict[int, bool] = {}
-    remaining: Dict[int, float] = {}
-    members: Dict[int, List[int]] = {}
-    for v in node_list:
-        prize = float(prizes.get(v, 0.0))
-        active[v] = prize > _EPS
-        remaining[v] = prize
-        members[v] = [v]
-    potential: Dict[int, float] = {v: 0.0 for v in node_list}
+    # Moat state over node positions. ``label[p]`` is the root position of
+    # p's component (union by size, the smaller member list is relabelled);
+    # ``members``, ``remaining`` and ``is_active`` are read at roots only.
+    # ``active`` holds the active roots in the order union-find kept them
+    # (a merged root goes last), which sets deactivation tie-breaks.
+    position = {v: p for p, v in enumerate(node_list)}
+    arcs = [(position[u], position[v], cost, (u, v, cost)) for u, v, cost in edges]
+    label = list(range(len(node_list)))
+    members: List[List[int]] = [[p] for p in label]
+    remaining = [float(prizes.get(v, 0.0)) for v in node_list]
+    is_active = [1 if prize > _EPS else 0 for prize in remaining]
+    active: Dict[int, None] = dict.fromkeys(p for p in label if is_active[p])
+    potential = [0.0] * len(node_list)
 
     forest_edges: List[Tuple[int, int, float]] = []
     # The growth loop: every iteration either merges two components or deactivates one,
     # so it runs at most 2 * |V| times.
     max_iterations = 2 * len(node_list) + 4
     for _ in range(max_iterations):
-        active_roots = [r for r, flag in active.items() if flag]
+        active_roots = list(active)
         if not active_roots:
             break
 
         # Next edge event.
         best_edge_dt = math.inf
-        best_edge: Optional[Tuple[int, int, float]] = None
-        for u, v, cost in edges:
-            ru, rv = components.find(u), components.find(v)
+        best_edge: Optional[Tuple[int, int, Tuple[int, int, float]]] = None
+        for u, v, cost, edge in arcs:
+            ru = label[u]
+            rv = label[v]
             if ru == rv:
                 continue
-            rate = (1 if active.get(ru, False) else 0) + (1 if active.get(rv, False) else 0)
+            rate = is_active[ru] + is_active[rv]
             if rate == 0:
                 continue
             slack = cost - potential[u] - potential[v]
-            dt = max(0.0, slack) / rate
+            # ``max(0.0, slack)`` without the builtin call (same value, ±0 and NaN included).
+            dt = (slack if slack > 0.0 else 0.0) / rate
             if dt < best_edge_dt - _EPS:
                 best_edge_dt = dt
-                best_edge = (u, v, cost)
+                best_edge = (u, v, edge)
 
         # Next deactivation event.
         best_deact_dt = math.inf
@@ -161,25 +139,23 @@ def goemans_williamson_pcst(
                     potential[member] += dt
 
         if best_edge is not None and best_edge_dt <= best_deact_dt + _EPS:
-            u, v, cost = best_edge
-            ru, rv = components.find(u), components.find(v)
-            if ru != rv:
-                forest_edges.append((u, v, cost))
-                new_root = components.union(ru, rv)
-                other = rv if new_root == ru else ru
-                merged_remaining = remaining[ru] + remaining[rv]
-                merged_members = members[ru] + members[rv]
-                merged_active = merged_remaining > _EPS
-                for stale in (ru, rv):
-                    active.pop(stale, None)
-                    remaining.pop(stale, None)
-                    members.pop(stale, None)
-                active[new_root] = merged_active
-                remaining[new_root] = merged_remaining
-                members[new_root] = merged_members
+            u, v, edge = best_edge
+            ru, rv = label[u], label[v]
+            forest_edges.append(edge)
+            new_root, other = (rv, ru) if len(members[ru]) < len(members[rv]) else (ru, rv)
+            for member in members[other]:
+                label[member] = new_root
+            members[new_root] = members[ru] + members[rv]
+            remaining[new_root] = remaining[ru] + remaining[rv]
+            is_active[new_root] = 1 if remaining[new_root] > _EPS else 0
+            active.pop(ru, None)
+            active.pop(rv, None)
+            if is_active[new_root]:
+                active[new_root] = None
         else:
             assert best_deact_root is not None
-            active[best_deact_root] = False
+            del active[best_deact_root]
+            is_active[best_deact_root] = 0
             remaining[best_deact_root] = 0.0
 
     # Split the forest into its connected components and strong-prune each.

@@ -15,7 +15,8 @@ the paper (and our benchmarks) find it the most accurate of the three algorithms
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from repro.core.instance import ProblemInstance
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.scaling import ScalingContext
-from repro.core.tuples import EPS, RegionTuple, TupleArray, make_region_tuple
+from repro.core.tuples import EPS, RegionTuple, TupleArray
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
 
@@ -237,28 +238,29 @@ class TGENSolver:
         collect_pool: bool,
         pool_size: int = 0,
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
-        """Array-first twin of :meth:`_run` over local node positions.
+        """Packed twin of :meth:`_run` over local node positions.
 
-        The region/tuple logic (Definition 6 arrays, Lemma 9 disjointness, the
-        combine rule) is byte-for-byte the reference code; what is arrayified is
-        the scaffolding around it: scaled weights come from one vectorised pass,
-        the BFS runs over CSR positions with flat visited tables and packed edge
-        keys instead of id-keyed sets, and per-edge tuple combinations are
-        prefiltered by a vectorised feasibility mask ``(l_i + l_j) + τ ≤ Q.∆``
-        that enumerates surviving pairs in the reference (i-major) order.
+        The reference's decisions (Definition 6 arrays, Lemma 9 disjointness,
+        the combine rule, every float expression) are replayed one for one over
+        packed tuples ``(length, weight, scaled, node_mask, members,
+        edge_mask)``: ``node_mask`` is an int bitset over window positions
+        (Lemma 9 is one ``&``, the node union one ``|``), ``members`` the
+        positions the dominance update walks, ``edge_mask`` a bitset over the
+        edges in processing order. Each array is a ``scaled → tuple`` dict in
+        the reference's insertion order; :class:`RegionTuple` objects are built
+        only for the returned best and top-k pool. The BFS runs over CSR
+        positions, and per-edge pairs are prefiltered by a vectorised
+        ``(l_i + l_j) + τ ≤ Q.∆`` mask that keeps the reference (i-major) order.
 
         When the instance allows pruning (and no top-k pool is collected — the
         pool deliberately admits zero-scaled tuples), an edge is skipped whole
         once the incumbent has positive scaled weight and *both* endpoint
         arrays hold only zero-scaled tuples: every combination such an edge can
-        generate has scaled weight 0 (tuple scaled weights are sums of member
-        scaled weights), cannot beat the incumbent, and cannot displace any
-        stored tuple (each member of a zero-scaled tuple is itself zero-scaled,
-        so its array's key-0 slot holds the length-0 singleton, which a
-        positive-length combination never beats). ``max_scaled`` tracks a
-        monotone per-position upper bound on each array's largest key — it is
-        not lowered on eviction, which only forgoes skips, never unsoundly
-        takes one.
+        generate has scaled weight 0, cannot beat the incumbent, and cannot
+        displace any stored tuple (each member of a zero-scaled tuple is itself
+        zero-scaled, so its array's key-0 slot holds the length-0 singleton).
+        ``max_scaled`` is a monotone per-position upper bound on each array's
+        largest key; eviction does not lower it, which only forgoes skips.
         """
         stats: Dict[str, float] = {}
         delta = instance.query.delta
@@ -274,34 +276,28 @@ class TGENSolver:
         # reused across solves of the same cached substrate).
         indptr, columns, _, lengths, _ = dense.graph_view().adjacency_arrays()
 
-        arrays_by_pos: List[TupleArray] = []
-        arrays: Dict[int, TupleArray] = {}
-        best: Optional[RegionTuple] = None
-        pool: List[RegionTuple] = []
-        pool_keys: Set[frozenset] = set()
+        arrays: List[Dict[int, tuple]] = []
+        best: Optional[tuple] = None
+        pool = _PackedPool(pool_size)
         for pos in range(n):
-            node_id = ids_list[pos]
-            array = TupleArray()
-            singleton = RegionTuple.singleton(node_id, sigma_list[pos], scaled_list[pos])
-            array.update(singleton)
-            arrays_by_pos.append(array)
-            arrays[node_id] = array
-            if singleton.better_than(best):
+            singleton = (0.0, sigma_list[pos], scaled_list[pos], 1 << pos, (pos,), 0)
+            arrays.append({singleton[2]: singleton})
+            if _packed_better(singleton, best):
                 best = singleton
-            if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size)
+            if collect_pool and singleton[2] > 0:
+                pool.add(singleton)
 
-        processed_nodes: Set[int] = set()
+        processed = bytearray(n)
         visited_edges: Set[int] = set()
         visited = bytearray(n)
-        edges_processed = 0
+        # Id pairs of the processed edges; bit b of an edge_mask is edge_pairs[b].
+        edge_pairs: List[Tuple[int, int]] = []
         edges_skipped = 0
         tuples_generated = 0
         max_tuples = self.max_tuples_per_node
         budget = instance.budget
         expired = False
         prune = instance.pruning_enabled and not collect_pool
-        position_of = dense.position_of() if prune else None
         # Per-position upper bound on the largest scaled key stored in the
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list) if prune else []
@@ -320,8 +316,7 @@ class TGENSolver:
             while head < len(queue) and not expired:
                 vi = queue[head]
                 head += 1
-                vi_id = ids_list[vi]
-                array_i = arrays_by_pos[vi]
+                array_i = arrays[vi]
                 slots = range(indptr[vi], indptr[vi + 1])
                 if self.edge_order == "length":
                     slots = sorted(slots, key=lambda slot: lengths[slot])
@@ -344,23 +339,22 @@ class TGENSolver:
                     if (
                         prune
                         and best is not None
-                        and best.scaled_weight > 0
+                        and best[2] > 0
                         and max_scaled[vi] == 0
                         and max_scaled[vj] == 0
                     ):
                         edges_skipped += 1
                         continue
-                    edges_processed += 1
-                    vj_id = ids_list[vj]
-                    edge_pair = edge_key(vi_id, vj_id)
-                    tuples_i = array_i.tuples()
-                    tuples_j = arrays_by_pos[vj].tuples()
+                    edge_bit = 1 << len(edge_pairs)
+                    edge_pairs.append(edge_key(ids_list[vi], ids_list[vj]))
+                    tuples_i = list(array_i.values())
+                    tuples_j = list(arrays[vj].values())
                     if len(tuples_i) * len(tuples_j) >= self._PREFILTER_PAIRS:
                         lengths_i = np.fromiter(
-                            (t.length for t in tuples_i), np.float64, len(tuples_i)
+                            (t[0] for t in tuples_i), np.float64, len(tuples_i)
                         )
                         lengths_j = np.fromiter(
-                            (t.length for t in tuples_j), np.float64, len(tuples_j)
+                            (t[0] for t in tuples_j), np.float64, len(tuples_j)
                         )
                         rows, cols = np.nonzero(
                             (lengths_i[:, None] + lengths_j[None, :]) + edge_length
@@ -372,80 +366,79 @@ class TGENSolver:
                             (a, b)
                             for a, tuple_a in enumerate(tuples_i)
                             for b, tuple_b in enumerate(tuples_j)
-                            if tuple_a.length + tuple_b.length + edge_length
-                            <= delta_eps
+                            if tuple_a[0] + tuple_b[0] + edge_length <= delta_eps
                         )
                     # Fused generate/apply loop. The reference collects the
                     # feasible combinations first and then applies them in
                     # generation order; collection is side-effect free, so the
                     # fused loop performs the identical update sequence. A
-                    # combined tuple is only *materialised* (frozenset unions)
-                    # when something actually keeps it — the incumbent check,
-                    # the top-k pool, or a dominance slot it wins; dominated
-                    # combinations cost two scalar adds and a few dict probes.
+                    # combined tuple is only built when something keeps it —
+                    # the incumbent check, the top-k pool, or a dominance slot
+                    # it wins; dominated combinations cost two scalar adds and
+                    # a few dict probes.
                     for a, b in pairs:
                         tuple_i = tuples_i[a]
                         tuple_j = tuples_j[b]
-                        nodes_i = tuple_i.nodes
-                        nodes_j = tuple_j.nodes
-                        if not nodes_i.isdisjoint(nodes_j):
+                        if tuple_i[3] & tuple_j[3]:
                             continue
                         tuples_generated += 1
-                        scaled = tuple_i.scaled_weight + tuple_j.scaled_weight
-                        weight = tuple_i.weight + tuple_j.weight
-                        length = tuple_i.length + tuple_j.length + edge_length
+                        scaled = tuple_i[2] + tuple_j[2]
+                        weight = tuple_i[1] + tuple_j[1]
+                        length = tuple_i[0] + tuple_j[0] + edge_length
+                        members = tuple_i[4] + tuple_j[4]
                         # Inline RegionTuple.better_than on the scalar triple
                         # (tolerance shared with tuples.py via EPS).
                         if best is None:
                             better = True
-                        elif scaled != best.scaled_weight:
-                            better = scaled > best.scaled_weight
-                        elif abs(weight - best.weight) > EPS:
-                            better = weight > best.weight
+                        elif scaled != best[2]:
+                            better = scaled > best[2]
+                        elif abs(weight - best[1]) > EPS:
+                            better = weight > best[1]
                         else:
-                            better = length < best.length - EPS
-                        combined: Optional[RegionTuple] = None
+                            better = length < best[0] - EPS
+                        combined: Optional[tuple] = None
                         if better or collect_pool:
-                            combined = make_region_tuple(
-                                length,
-                                weight,
-                                scaled,
-                                nodes_i | nodes_j,
-                                (tuple_i.edges | tuple_j.edges) | {edge_pair},
+                            combined = (
+                                length, weight, scaled, tuple_i[3] | tuple_j[3],
+                                members, tuple_i[5] | tuple_j[5] | edge_bit,
                             )
                             if better:
                                 best = combined
                             if collect_pool:
-                                _pool_add(pool, pool_keys, combined, pool_size)
-                        for members in (nodes_i, nodes_j):
-                            for member in members:
-                                if member in processed_nodes:
-                                    continue
-                                array = arrays[member]
-                                entries = array._entries  # noqa: SLF001 - inlined update
-                                stored = entries.get(scaled)
-                                if stored is None or length < stored.length - EPS:
-                                    if combined is None:
-                                        combined = make_region_tuple(
-                                            length,
-                                            weight,
-                                            scaled,
-                                            nodes_i | nodes_j,
-                                            (tuple_i.edges | tuple_j.edges)
-                                            | {edge_pair},
-                                        )
-                                    entries[scaled] = combined
-                                    if prune:
-                                        p = position_of[member]
-                                        if scaled > max_scaled[p]:
-                                            max_scaled[p] = scaled
-                                    if max_tuples is not None and len(entries) > max_tuples:
-                                        _evict_worst(array, max_tuples)
-                processed_nodes.add(vi_id)
+                                pool.add(combined)
+                        for member in members:
+                            if processed[member]:
+                                continue
+                            entries = arrays[member]
+                            stored = entries.get(scaled)
+                            if stored is None or length < stored[0] - EPS:
+                                if combined is None:
+                                    combined = (
+                                        length, weight, scaled, tuple_i[3] | tuple_j[3],
+                                        members, tuple_i[5] | tuple_j[5] | edge_bit,
+                                    )
+                                entries[scaled] = combined
+                                if prune and scaled > max_scaled[member]:
+                                    max_scaled[member] = scaled
+                                if max_tuples is not None and len(entries) > max_tuples:
+                                    survivors = sorted(
+                                        entries.values(), key=lambda t: (-t[2], t[0])
+                                    )[:max_tuples]
+                                    entries.clear()
+                                    entries.update((t[2], t) for t in survivors)
+                processed[vi] = 1
         stats["tuples_generated"] = float(tuples_generated)
-        stats["edges_processed"] = float(edges_processed)
+        stats["edges_processed"] = float(len(edge_pairs))
         stats["edges_skipped"] = float(edges_skipped)
-        return best, pool, stats
+        materialise = lambda t: RegionTuple(  # noqa: E731
+            t[0], t[1], t[2], frozenset(ids_list[p] for p in t[4]),
+            frozenset(edge_pairs[b] for b in _bit_positions(t[5])),
+        )
+        return (
+            None if best is None else materialise(best),
+            [materialise(t) for t in pool.ranked()] if collect_pool else [],
+            stats,
+        )
 
     # ------------------------------------------------------------------ helpers
     def _start_nodes(self, instance: ProblemInstance) -> List[int]:
@@ -485,6 +478,70 @@ def _pool_add(
         del pool[pool_size:]
         pool_keys.clear()
         pool_keys.update(t.nodes for t in pool)
+
+
+def _packed_better(candidate: tuple, best: Optional[tuple]) -> bool:
+    """:meth:`RegionTuple.better_than` on packed ``(length, weight, scaled, ...)`` tuples."""
+    if best is None:
+        return True
+    if candidate[2] != best[2]:
+        return candidate[2] > best[2]
+    if abs(candidate[1] - best[1]) > EPS:
+        return candidate[1] > best[1]
+    return candidate[0] < best[0] - EPS
+
+
+class _PackedPool:
+    """:func:`_pool_add` on packed tuples, deduplicated by ``node_mask``.
+
+    Replays the reference pool decision for decision: distinct node sets,
+    stably sorted by rank and cut to ``size`` entries whenever it exceeds
+    ``2 * size``. Entries are stored as ``(rank, tuple)`` pairs so the sort
+    compares in C. After a cut, a candidate that ranks at or behind the last
+    survivor (``floor``) sorts behind every survivor at the next cut
+    (survivors were inserted first), so it is certain to be dropped: it is
+    counted and its node set blocks duplicates until that cut, exactly as in
+    the reference, but it is never stored or sorted.
+    """
+
+    __slots__ = ("entries", "keys", "size", "floor", "shadowed")
+
+    def __init__(self, size: int) -> None:
+        self.entries: List[Tuple[Tuple[int, float, float], tuple]] = []
+        self.keys: Set[int] = set()
+        self.size = size
+        self.floor: Optional[Tuple[int, float, float]] = None
+        self.shadowed = 0
+
+    def add(self, candidate: tuple) -> None:
+        if candidate[3] in self.keys:
+            return
+        self.keys.add(candidate[3])
+        rank = (-candidate[2], -candidate[1], candidate[0])
+        if self.floor is not None and rank >= self.floor:
+            self.shadowed += 1
+        else:
+            self.entries.append((rank, candidate))
+        if len(self.entries) + self.shadowed > 2 * self.size:
+            self.ranked()
+            self.keys = {t[3] for _, t in self.entries}
+            self.floor = self.entries[-1][0]
+            self.shadowed = 0
+
+    def ranked(self) -> List[tuple]:
+        """The best ``size`` entries in rank order — every rank solve_topk can
+        ask for (k ≤ size / 16)."""
+        self.entries.sort(key=itemgetter(0))
+        del self.entries[self.size:]
+        return [t for _, t in self.entries]
+
+
+def _bit_positions(mask: int) -> Iterator[int]:
+    """Yield the indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _evict_worst(array: TupleArray, keep: int) -> None:

@@ -24,33 +24,6 @@ from repro.network.graph import edge_key
 EPS = 1e-12
 
 
-def make_region_tuple(
-    length: float,
-    weight: float,
-    scaled_weight: int,
-    nodes: FrozenSet[int],
-    edges: FrozenSet[Tuple[int, int]],
-) -> "RegionTuple":
-    """Hot-path constructor for :class:`RegionTuple`.
-
-    Identical to calling the dataclass, but writes the five fields straight
-    into ``__dict__`` instead of routing each one through the frozen-dataclass
-    ``object.__setattr__`` guard — the solvers' dense backends build tens of
-    thousands of tuples per query, and the guard is pure per-field overhead
-    once the values are final. The resulting instance is indistinguishable
-    from a normally constructed one (same type, same frozen behaviour).
-    """
-    region_tuple = RegionTuple.__new__(RegionTuple)
-    region_tuple.__dict__.update(
-        length=length,
-        weight=weight,
-        scaled_weight=scaled_weight,
-        nodes=nodes,
-        edges=edges,
-    )
-    return region_tuple
-
-
 @dataclass(frozen=True)
 class RegionTuple:
     """The paper's 5-tuple region representation ``(l, s, ŝ, V, E)``.
@@ -182,24 +155,3 @@ class TupleArray:
         to_delete = [s for s, t in self._entries.items() if t.length > max_length + 1e-12]
         for scaled_weight in to_delete:
             del self._entries[scaled_weight]
-
-    def check_dominance(self) -> bool:
-        """Return ``True`` if no stored tuple is dominated by another stored tuple.
-
-        Dominance here means: another tuple has scaled weight >= and length <= with at
-        least one strict. The arrays produced by the solvers only guarantee per-key
-        minimality (the paper's rule); full Pareto pruning is optional and exercised by
-        property tests through this predicate.
-        """
-        entries = list(self._entries.values())
-        for tuple_a in entries:
-            for tuple_b in entries:
-                if tuple_a is tuple_b:
-                    continue
-                if (
-                    tuple_b.scaled_weight >= tuple_a.scaled_weight
-                    and tuple_b.length <= tuple_a.length - 1e-12
-                    and tuple_b.scaled_weight > tuple_a.scaled_weight
-                ):
-                    return False
-        return True

@@ -8,8 +8,9 @@ PoIs; Zipfian keyword frequencies; grid-like dense cores vs. sparse fringes — 
 scale a laptop reproduces in seconds. Real data can still be plugged in through
 :mod:`repro.network.io` and :class:`repro.objects.corpus.ObjectCorpus`.
 
-See DESIGN.md §3 for the substitution rationale and
-:mod:`repro.datasets.queries` for the paper's query-workload generator (Section 7.1).
+See docs/ARCHITECTURE.md, "Deviations from the paper" for the substitution
+rationale and :mod:`repro.datasets.queries` for the paper's query-workload
+generator (Section 7.1).
 """
 
 from repro.datasets.vocab import Vocabulary, PLACES_VOCABULARY, FLICKR_VOCABULARY

@@ -78,7 +78,7 @@ class SyntheticDataset:
         return Rectangle(min_x, min_y, max_x, max_y)
 
     def describe(self) -> Dict[str, float]:
-        """Return headline statistics (used by EXPERIMENTS.md and reports)."""
+        """Return headline statistics (used by reports)."""
         return {
             "nodes": float(self.network.num_nodes),
             "edges": float(self.network.num_edges),

@@ -4,9 +4,9 @@ The paper stores each grid cell's inverted lists in a disk-based B+-tree because
 lists "may not fit in memory". The reproduction keeps the same structure and access
 pattern — keyed insertion, point lookup, ordered range scan over ``(term, object)``
 composite keys — but in memory, which is the honest substitution for a single-machine
-Python reproduction (documented in DESIGN.md §3). The tree is a textbook B+-tree:
-internal nodes hold separator keys, leaves hold key/value pairs and are chained for
-range scans.
+Python reproduction (see docs/ARCHITECTURE.md, "Deviations from the paper").
+The tree is a textbook B+-tree: internal nodes hold separator keys, leaves hold
+key/value pairs and are chained for range scans.
 """
 
 from __future__ import annotations

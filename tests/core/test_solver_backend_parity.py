@@ -17,6 +17,8 @@ from the substrate alone, with the dict view materialised lazily).
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.app import APPSolver
@@ -97,6 +99,76 @@ class TestHeuristicSolverParity:
             assert len(topk_dict.results) == len(topk_dense.results)
             for a, b in zip(topk_dict.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
+
+
+class _PollBudget:
+    """Deterministic budget stub: expires on poll ``limit + 1`` and latches."""
+
+    def __init__(self, limit: float) -> None:
+        self.limit = limit
+        self.polls = 0
+
+    def expired(self) -> bool:
+        self.polls += 1
+        return self.polls > self.limit
+
+
+def _tgen_stats(result):
+    return {key: result.stats.get(key) for key in
+            ("tuples_generated", "edges_processed", "budget_expired")}
+
+
+class TestTGENPackedParity:
+    """The packed TGEN loop against the dict reference on every code path:
+    array eviction, length edge order, ranked top-k pools and budget expiry."""
+
+    @pytest.mark.parametrize("cap", [1, 2, 4])
+    def test_tuple_cap_eviction(self, engine, workload, cap):
+        solver = TGENSolver(max_tuples_per_node=cap)
+        for query in workload:
+            instance = engine.build_instance(query).with_pruning("off")
+            a = solver.solve(instance.with_backend("dict"))
+            b = solver.solve(instance.with_backend("dense"))
+            _assert_identical(a, b, (cap, query.keywords, query.region))
+            assert _tgen_stats(a) == _tgen_stats(b)
+
+    def test_length_edge_order(self, engine, workload):
+        solver = TGENSolver(edge_order="length")
+        for query in workload:
+            instance = engine.build_instance(query).with_pruning("off")
+            a = solver.solve(instance.with_backend("dict"))
+            b = solver.solve(instance.with_backend("dense"))
+            _assert_identical(a, b, (query.keywords, query.region))
+            assert _tgen_stats(a) == _tgen_stats(b)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("cap", [None, 2])
+    def test_topk_full_ranking(self, engine, workload, k, cap):
+        solver = TGENSolver(max_tuples_per_node=cap)
+        for query in workload:
+            instance = engine.build_instance(query)
+            ranked_dict = solver.solve_topk(instance.with_backend("dict"), k=k).results
+            ranked_dense = solver.solve_topk(instance.with_backend("dense"), k=k).results
+            assert len(ranked_dict) == len(ranked_dense)
+            for rank, (a, b) in enumerate(zip(ranked_dict, ranked_dense)):
+                _assert_identical(a, b, (k, cap, rank, query.keywords, query.region))
+
+    def test_budget_expiry_stops_on_the_same_edge(self, engine, workload):
+        solver = TGENSolver()
+        for query in workload:
+            instance = engine.build_instance(query).with_pruning("off")
+            full = _PollBudget(math.inf)
+            solver.solve(instance.with_backend("dict").with_budget(full))
+            for limit in sorted({0, 1, full.polls // 7, full.polls // 3,
+                                 (2 * full.polls) // 3, full.polls - 1}):
+                budgets = _PollBudget(limit), _PollBudget(limit)
+                a = solver.solve(instance.with_backend("dict").with_budget(budgets[0]))
+                b = solver.solve(instance.with_backend("dense").with_budget(budgets[1]))
+                context = (limit, full.polls, query.keywords, query.region)
+                _assert_identical(a, b, context)
+                assert budgets[0].polls == budgets[1].polls == limit + 1, context
+                assert _tgen_stats(a) == _tgen_stats(b), context
+                assert a.stats["budget_expired"] == 1.0, context
 
 
 class TestExactParity:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import LCMSRQuery, build_instance
-from repro.core.tgen import TGENSolver
+from repro.core.tgen import TGENSolver, _PackedPool, _pool_add, _rank_distinct
+from repro.core.tuples import RegionTuple
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
 
@@ -119,3 +122,29 @@ class TestEndToEnd:
         fine = TGENSolver(alpha=0.05).solve(instance)
         coarse = TGENSolver(alpha=3.0).solve(instance)
         assert coarse.stats["tuples_generated"] <= fine.stats["tuples_generated"]
+
+
+class TestPackedPool:
+    """The packed top-k pool replays the reference ``_pool_add`` exactly."""
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 8])
+    def test_matches_reference_pool(self, size):
+        rng = random.Random(f"packed-pool-{size}")
+        for _ in range(40):
+            reference, reference_keys = [], set()
+            packed = _PackedPool(size)
+            for _ in range(rng.randint(0, 300)):
+                # Few distinct node sets and coarse values: duplicates of a node
+                # set with a different rank, and exact rank ties, are common.
+                mask = rng.randint(1, 63)
+                nodes = frozenset(b for b in range(6) if mask >> b & 1)
+                length = float(rng.randint(0, 4))
+                weight = rng.choice([0.5, 1.0, 1.5])
+                scaled = rng.randint(0, 3)
+                _pool_add(reference, reference_keys,
+                          RegionTuple(length, weight, scaled, nodes, frozenset()), size)
+                packed.add((length, weight, scaled, mask, tuple(sorted(nodes)), 0))
+            expected = [(t.length, t.weight, t.scaled_weight, t.nodes)
+                        for t in _rank_distinct(reference, size)]
+            actual = [(t[0], t[1], t[2], frozenset(t[4])) for t in packed.ranked()]
+            assert actual == expected
