@@ -55,7 +55,8 @@ bench-smoke: compact-smoke anytime-smoke
 # substrate (BENCH_solver.json, bench_solver_backend.py) and the bound-based
 # pruning subsystem (BENCH_pruning.json, bench_pruning.py, including the
 # skip/visit counters) — so the repo's performance trajectory is captured run
-# over run. Runs at the default benchmark scale.
+# over run. Runs at the default benchmark scale, except the artifact-scale
+# step: its committed row is the 1 M-object build (minutes, about 2 GB peak).
 bench-json:
 	REPRO_BENCH_JSON=BENCH_scoring.json $(PYTHON) -m pytest \
 		benchmarks/bench_scoring.py -q -s -o python_files="bench_*.py"
@@ -68,7 +69,7 @@ bench-json:
 		-q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_generations.json $(PYTHON) -m pytest \
 		benchmarks/bench_generations.py -q -s -o python_files="bench_*.py"
-	REPRO_BENCH_JSON=BENCH_artifact.json $(PYTHON) -m pytest \
+	REPRO_BENCH_FULL=1 REPRO_BENCH_JSON=BENCH_artifact.json $(PYTHON) -m pytest \
 		benchmarks/bench_artifact_scale.py -q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_anytime.json $(PYTHON) -m pytest \
 		benchmarks/bench_anytime.py -q -s -o python_files="bench_*.py"

@@ -297,11 +297,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------- serve-batch
 def _synthesize_requests(engine, count: int, delta: float, seed: int, policy=None):
-    """Build a deterministic keyword workload from the corpus's frequent terms."""
+    """Build a deterministic keyword workload from the corpus's frequent terms.
+
+    Reads the document frequencies from the columns, so synthesizing a
+    workload does not load the artifact's object graph.
+    """
     from repro.service.query_service import QueryRequest
 
     rng = random.Random(seed)
-    frequent = [term for term, _ in engine.corpus.most_frequent_terms(40)]
+    frequent = [term for term, _ in engine.bundle.columnar.most_frequent_terms(40)]
     if not frequent:
         raise QueryError("the artifact's corpus has no terms to synthesize queries from")
     requests = []

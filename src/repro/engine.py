@@ -182,8 +182,11 @@ class LCMSREngine:
 
         The artifact (written by :meth:`IndexBundle.save
         <repro.service.bundle.IndexBundle.save>` or ``python -m repro build``)
-        is loaded with the CSR arrays memory-mapped read-only, so the engine is
-        query-ready in I/O-bound time instead of index-rebuild time.
+        is loaded with the CSR and scoring columns memory-mapped read-only, so
+        the engine is query-ready in I/O-bound time instead of index-rebuild
+        time. Queries read only those columns; the pickled object graph
+        (:attr:`corpus`, :attr:`mapping`, :attr:`grid`, the scorer) loads on
+        first access, e.g. by an overlay mutation or a compaction.
 
         Generation-aware: when the artifact root carries a ``CURRENT`` pointer
         (written by ``python -m repro compact``), the generation it names is
@@ -255,17 +258,19 @@ class LCMSREngine:
 
     @property
     def corpus(self) -> ObjectCorpus:
-        """The indexed object corpus."""
+        """The indexed object corpus (loads a deferred object graph, see
+        :attr:`IndexBundle.object_graph_loaded
+        <repro.service.bundle.IndexBundle.object_graph_loaded>`)."""
         return self._bundle.corpus
 
     @property
     def mapping(self) -> NodeObjectMap:
-        """The object → node mapping."""
+        """The object → node mapping (loads a deferred object graph)."""
         return self._bundle.mapping
 
     @property
     def grid(self) -> GridIndex:
-        """The grid + inverted-list index."""
+        """The grid + inverted-list index (loads a deferred object graph)."""
         return self._bundle.grid
 
     @property
@@ -411,7 +416,9 @@ class LCMSREngine:
         :class:`~repro.textindex.columnar.WeightPipeline` (vectorised, all
         scoring modes) when available; otherwise from the grid postings
         (``TEXT_RELEVANCE``) or the object-loop scorer (the other modes) —
-        the pipeline is bit-identical to the scorer reference backend.
+        the pipeline is bit-identical to the scorer reference backend. Every
+        loaded bundle has a pipeline, so this never loads a deferred object
+        graph; only those fallbacks read it.
 
         Args:
             query: The LCMSR query to derive the instance from.

@@ -99,6 +99,9 @@ def format_service_stats(stats: "ServiceStats", title: Optional[str] = None) -> 
          f"{stats.instance_cache.size}/{stats.instance_cache.max_size}"),
         ("instance cache evictions", stats.instance_cache.evictions),
     ]
+    rows.extend(
+        (f"degraded: {kind}", count) for kind, count in sorted(stats.degradations.items())
+    )
     return format_table(
         ["measure", "value"], rows, title or "query service statistics"
     )

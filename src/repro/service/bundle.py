@@ -15,14 +15,16 @@ Bundles also persist: :meth:`IndexBundle.save` writes a versioned on-disk artifa
 :mod:`repro.service.persist`) and :meth:`IndexBundle.load` restores it without
 re-running any of the offline build — the path behind
 :meth:`LCMSREngine.from_artifact <repro.engine.LCMSREngine.from_artifact>` and the
-``python -m repro`` CLI.
+``python -m repro`` CLI. A loaded bundle serves reads from the columns alone; the
+pickled object graph (corpus, mapping, vector-space model, grid, scorer) is
+deferred until something first reads one of those five attributes.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.exceptions import QueryError
 from repro.index.grid import GridIndex
@@ -39,6 +41,41 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (persist imports the bundle)
     from repro.service.persist import ArtifactManifest, PathLike
 
 
+_DEFERRED = object()
+"""Placeholder held by an object-graph field until :class:`_ObjectGraphField` loads it."""
+
+_GRAPH_FIELDS = ("corpus", "mapping", "vsm", "grid", "scorer")
+
+
+class _ObjectGraphField:
+    """Dataclass field descriptor for the five attributes stored in ``index.pkl``.
+
+    A built bundle holds real values from construction. A bundle loaded from an
+    artifact starts with every one of them :data:`_DEFERRED`; the first read of
+    any of them loads the whole object graph (see
+    :meth:`IndexBundle._load_object_graph`).
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+        self._slot = "_graph_" + name
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            # Class access is how dataclasses probes for a default: there is none.
+            raise AttributeError(self._name)
+        value = bundle.__dict__[self._slot]
+        if value is _DEFERRED:
+            bundle._load_object_graph()
+            value = bundle.__dict__[self._slot]
+        return value
+
+    def __set__(self, bundle, value) -> None:
+        # Reached only from the generated __init__ (the frozen __setattr__
+        # rejects every later assignment).
+        bundle.__dict__[self._slot] = value
+
+
 @dataclass(frozen=True)
 class IndexBundle:
     """Everything the serving path needs that is query-independent.
@@ -53,9 +90,10 @@ class IndexBundle:
         mapping: The object → nearest-node mapping that turns object scores into the
             node weights σ_v.
         vsm: The corpus-wide TF-IDF vector-space model (Section 3, Equation 2).
-        grid: The grid + inverted-list index probed on the hot path.
-        scorer: The direct relevance scorer (used when ``scoring_mode`` is not
-            ``TEXT_RELEVANCE``, and for index cross-checks).
+        grid: The grid + inverted-list index (the paper's index; queries read the
+            columnar pipeline instead whenever the bundle has one).
+        scorer: The direct relevance scorer (the object-loop reference backend and
+            the fallback when no columnar pipeline exists).
         scoring_mode: Which per-object weight definition the bundle scores with.
         grid_resolution: The resolution the grid was built with (kept for reporting).
         build_seconds: Wall-clock time of each offline build step plus a ``"total"``
@@ -73,14 +111,19 @@ class IndexBundle:
             kernels (:meth:`weight_pipeline`). ``None`` only for legacy
             construction paths that skip it; queries then fall back to the
             grid-postings / object-loop paths.
+
+    ``corpus``, ``mapping``, ``vsm``, ``grid`` and ``scorer`` form the bundle's
+    *object graph*. On a bundle restored by :meth:`load` they are not read
+    from disk until one of them is first accessed; that access loads all five
+    at once (see :attr:`object_graph_loaded`).
     """
 
     network: Optional[RoadNetwork]
-    corpus: ObjectCorpus
-    mapping: NodeObjectMap
-    vsm: VectorSpaceModel
-    grid: GridIndex
-    scorer: RelevanceScorer
+    corpus: ObjectCorpus = _ObjectGraphField()
+    mapping: NodeObjectMap = _ObjectGraphField()
+    vsm: VectorSpaceModel = _ObjectGraphField()
+    grid: GridIndex = _ObjectGraphField()
+    scorer: RelevanceScorer = _ObjectGraphField()
     scoring_mode: ScoringMode
     grid_resolution: int
     build_seconds: Dict[str, float]
@@ -379,13 +422,16 @@ class IndexBundle:
     ) -> "IndexBundle":
         """Restore a bundle from an artifact directory written by :meth:`save`.
 
-        The CSR arrays come back as read-only memory maps (unless ``mmap`` is
-        false), so loading is I/O-bound instead of rebuild-bound.
+        The CSR and scoring columns come back as read-only memory maps (unless
+        ``mmap`` is false), so loading is I/O-bound instead of rebuild-bound.
+        ``index.pkl`` is not unpickled here: the object graph loads on first
+        access (see :func:`repro.service.persist.load_bundle`).
 
         Args:
             path: The artifact directory.
             mmap: Memory-map the network arrays (default) or load them eagerly.
-            verify: Check file checksums against the manifest first.
+            verify: Check file checksums against the manifest first, and check
+                ``index.pkl`` again when the object graph is loaded.
 
         Returns:
             A bundle answering queries identically to the one that was saved.
@@ -396,6 +442,71 @@ class IndexBundle:
         from repro.service import persist
 
         return persist.load_bundle(path, mmap=mmap, verify=verify)
+
+    @classmethod
+    def _from_columns(
+        cls,
+        compact: CompactNetwork,
+        columnar: ColumnarScoringIndex,
+        pipeline: WeightPipeline,
+        scoring_mode: ScoringMode,
+        grid_resolution: int,
+        build_seconds: Dict[str, float],
+        fingerprint: str,
+        load_graph: Callable[[], Tuple[object, ...]],
+    ) -> "IndexBundle":
+        """A bundle that serves from its columns and defers the object graph.
+
+        ``load_graph`` returns the five object-graph values in field order,
+        the same tuple on every call; the first read of any of those fields
+        calls it. The artifact loader is the only caller.
+        """
+        bundle = cls(
+            network=None,
+            corpus=_DEFERRED,
+            mapping=_DEFERRED,
+            vsm=_DEFERRED,
+            grid=_DEFERRED,
+            scorer=_DEFERRED,
+            scoring_mode=scoring_mode,
+            grid_resolution=grid_resolution,
+            build_seconds=build_seconds,
+            compact=compact,
+            columnar=columnar,
+        )
+        object.__setattr__(bundle, "_graph_loader", load_graph)
+        object.__setattr__(bundle, "_pipeline", pipeline)
+        object.__setattr__(bundle, "_fingerprint", fingerprint)
+        return bundle
+
+    # Plain class attributes (no annotation), so NOT dataclass fields: state a
+    # bundle restored from an artifact carries (see _from_columns).
+    _graph_loader = None
+    _pipeline = None
+
+    @property
+    def object_graph_loaded(self) -> bool:
+        """Whether the five object-graph attributes are in memory.
+
+        Always ``True`` for built bundles; ``False`` for a loaded bundle until
+        one of ``corpus`` / ``mapping`` / ``vsm`` / ``grid`` / ``scorer`` is
+        first read.
+        """
+        return self.__dict__["_graph_corpus"] is not _DEFERRED
+
+    def _load_object_graph(self) -> None:
+        """Install the deferred object graph (called by :class:`_ObjectGraphField`).
+
+        The loader unpickles once under its own lock and hands every caller the
+        same tuple, so racing threads install identical objects.
+        """
+        graph = self._graph_loader()
+        for name, value in zip(_GRAPH_FIELDS, graph):
+            self.__dict__["_graph_" + name] = value
+
+    def __repr__(self) -> str:
+        # Hand-written so that printing a loaded bundle does not load its graph.
+        return f"IndexBundle({self.describe()})"
 
     def road_network(self) -> RoadNetwork:
         """The mutable dict-backed road network, thawed from the snapshot if needed.
@@ -441,12 +552,22 @@ class IndexBundle:
     def weight_pipeline(self) -> Optional[WeightPipeline]:
         """The vectorised σ_v pipeline queries should take, or ``None``.
 
-        The pipeline lives on the scorer (which owns the smoothing-compatibility
-        check for language-model bundles); it is ``None`` when the bundle has no
-        columnar index or the scorer's LM smoothing differs from the index's
-        precomputed columns — queries then fall back to the scalar paths.
+        One object for the bundle's lifetime, shared with the scorer (so its
+        ``bounds`` and sample-frame caches are built once). A loaded bundle
+        builds it at load from the columns and the manifest's scoring mode and
+        LM smoothing, and the scorer attaches that same object when the object
+        graph loads. A built bundle takes the scorer's pipeline, which is
+        ``None`` when there is no columnar index or a language-model scorer's
+        smoothing differs from the columns; queries then fall back to the
+        scalar paths.
         """
-        return self.scorer.pipeline
+        pipeline = self._pipeline
+        if pipeline is None:
+            pipeline = self.scorer.pipeline
+            if pipeline is not None:
+                # Lock-free single-assignment, same pattern as road_network().
+                object.__setattr__(self, "_pipeline", pipeline)
+        return pipeline
 
     def graph_view(self) -> GraphView:
         """The network representation the query hot path should traverse.
@@ -458,18 +579,27 @@ class IndexBundle:
         return self.compact if self.compact is not None else self.network
 
     def describe(self) -> str:
-        """One-line summary of the indexed dataset (used in logs and reports)."""
+        """One-line summary of the indexed dataset (used in logs and reports).
+
+        Never loads a deferred object graph: a loaded bundle reports the object
+        count from its columns.
+        """
         backend = "csr" if self.compact is not None else "dict"
         view = self.graph_view()
-        # Don't force a lazy grid to materialise its cells just for a log line.
-        if getattr(self.grid, "cells_built", True):
-            cells = f"{self.grid.num_nonempty_cells} non-empty cells"
-        else:
+        if not self.object_graph_loaded:
+            objects = self.columnar.num_objects
             cells = "cells deferred"
+        else:
+            objects = len(self.corpus)
+            # Don't force a lazy grid to materialise its cells just for a log line.
+            if getattr(self.grid, "cells_built", True):
+                cells = f"{self.grid.num_nonempty_cells} non-empty cells"
+            else:
+                cells = "cells deferred"
         return (
             f"{view.num_nodes} nodes / {view.num_edges} edges "
             f"({backend} backend), "
-            f"{len(self.corpus)} objects, grid {self.grid_resolution}x{self.grid_resolution} "
+            f"{objects} objects, grid {self.grid_resolution}x{self.grid_resolution} "
             f"({cells}), "
             f"scoring={self.scoring_mode.value}, "
             f"built in {self.build_seconds.get('total', 0.0):.3f}s"

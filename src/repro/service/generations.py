@@ -138,13 +138,11 @@ class DeltaOverlay:
         self._pipeline = pipeline
         self._index = pipeline.index
         self._mode = bundle.scoring_mode
-        # The scalar language-model scorer snapshots the *base* corpus'
-        # collection statistics at construction — exactly the pinning policy.
-        self._lm = (
-            LanguageModelScorer(bundle.corpus, smoothing=self._index.lm_smoothing)
-            if self._mode is ScoringMode.LANGUAGE_MODEL
-            else None
-        )
+        # The scalar language-model scorer, built on first use from the *base*
+        # corpus' collection statistics — exactly the pinning policy. Building
+        # it lazily keeps an overlay with nothing pending off the base bundle's
+        # deferred object graph.
+        self._lm: Optional[LanguageModelScorer] = None
         self._entries: Dict[int, Optional[GeoTextualObject]] = {}
         self._nodes: Dict[int, int] = {}
         self._version = 0
@@ -389,7 +387,10 @@ class DeltaOverlay:
             return total / query_vector.norm
         if self._mode is ScoringMode.RATING_IF_MATCH:
             return obj.rating if obj.contains_any(keywords) else 0.0
-        assert self._lm is not None
+        if self._lm is None:
+            self._lm = LanguageModelScorer(
+                self._bundle.corpus, smoothing=self._index.lm_smoothing
+            )
         return self._lm.score(obj, keywords)
 
     # ------------------------------------------------------------------- reads

@@ -36,7 +36,9 @@ Artifact layout (one directory per artifact)::
                           ONE object graph so shared substructures (the corpus,
                           the VSM) are stored and restored exactly once (the
                           columnar arrays are deliberately NOT in this pickle;
-                          they live in scoring.npz and are re-attached on load)
+                          they live in scoring.npz and are re-attached when the
+                          graph loads). Queries never read it: loading defers
+                          the unpickle to the first access of the graph
         vocabulary.json   the sorted corpus term list; doubles as the columnar
                           index's term-id table (term id = list position)
 
@@ -68,6 +70,15 @@ Design notes:
   zero-decode. ``index.pkl`` is compressed wholesale with the same codec. The
   chunk pipeline is deterministic (fixed codec levels, pinned member
   timestamps), so same-seed compressed builds are byte-identical too.
+* **Columns first, object graph on demand.** :func:`load_bundle` opens the
+  manifest, ``network.npz``, ``scoring.npz`` and ``vocabulary.json`` and
+  serves every query from them through one
+  :class:`~repro.textindex.columnar.WeightPipeline`. ``index.pkl`` is
+  unpickled once, under a lock, on the first read of a bundle's ``corpus`` /
+  ``mapping`` / ``vsm`` / ``grid`` / ``scorer`` — the write and offline paths
+  (overlay mutations, compaction, sharding, re-saving). With ``verify`` the
+  file is hashed again right before unpickling, so a replaced file raises
+  :class:`ArtifactError` instead of being used.
 * **Versioning policy.** ``format_version`` is bumped on any layout or encoding
   change; loaders refuse other versions outright (no silent migration). The
   ``fingerprint`` identifies the *dataset content* independent of the format, so
@@ -83,6 +94,7 @@ import json
 import pickle
 import re
 import struct
+import threading
 import time
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -91,7 +103,7 @@ from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
-from repro.exceptions import ArtifactError
+from repro.exceptions import ArtifactError, IndexError_
 from repro.network.compact import CompactNetwork, GraphView
 from repro.objects.corpus import ObjectCorpus
 from repro.service.chunked import (
@@ -108,7 +120,9 @@ from repro.textindex.columnar import (
     ARRAY_FIELDS as _SCORING_FIELDS,
     DEFAULT_LM_SMOOTHING,
     ColumnarScoringIndex,
+    WeightPipeline,
 )
+from repro.textindex.relevance import RelevanceScorer, ScoringMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bundle imports persist)
     from repro.service.bundle import IndexBundle
@@ -606,9 +620,9 @@ def save_bundle(
         overwrite: Allow replacing an existing artifact (a directory that already
             holds a manifest). Without it, an existing artifact raises.
         fingerprint: Optional precomputed :func:`dataset_fingerprint` of this
-            bundle's (network, corpus); computed here when omitted. Callers that
-            already fingerprinted the dataset (the artifact cache) pass it to
-            avoid hashing the content twice.
+            bundle's (network, corpus). When omitted, :meth:`IndexBundle.fingerprint
+            <repro.service.bundle.IndexBundle.fingerprint>` supplies it, which
+            hashes at most once per bundle (and never for a loaded one).
         shard: Optional shard-linkage block recorded verbatim in the manifest
             (see :attr:`ArtifactManifest.shard`); only the spatial partitioner
             passes it.
@@ -620,7 +634,10 @@ def save_bundle(
         The manifest that was written.
 
     Raises:
-        ArtifactError: If ``path`` holds an artifact and ``overwrite`` is false.
+        ArtifactError: If ``path`` holds an artifact and ``overwrite`` is false,
+            or the bundle's language-model scorer uses a smoothing other than
+            its columns' (a loaded artifact always serves the columns'
+            smoothing, so such a bundle would not load back equivalent).
     """
     directory = Path(path)
     manifest_path = directory / MANIFEST_NAME
@@ -629,13 +646,32 @@ def save_bundle(
             f"artifact already exists at {directory}; pass overwrite=True "
             f"(or --force on the CLI) to replace it"
         )
-    directory.mkdir(parents=True, exist_ok=True)
+    # Load a deferred object graph before any payload file is replaced: a
+    # loaded bundle re-saved over its own directory must unpickle the old
+    # index.pkl, not the one this call writes.
+    payload = (bundle.corpus, bundle.mapping, bundle.vsm, bundle.grid, bundle.scorer)
 
     compact = (
         bundle.compact
         if bundle.compact is not None
         else CompactNetwork.from_network(bundle.network)
     )
+    # The columnar scoring index persists as raw arrays (mmap-able on load);
+    # bundles from legacy construction paths freeze one on the fly.
+    columnar = bundle.columnar
+    if columnar is None:
+        columnar = ColumnarScoringIndex.build(
+            bundle.corpus, bundle.mapping, compact.coords, vsm=bundle.vsm
+        )
+    smoothing = bundle.scorer.language_model_smoothing
+    if smoothing is not None and smoothing != columnar.lm_smoothing:
+        raise ArtifactError(
+            f"cannot save a language-model bundle whose scorer smoothing "
+            f"({smoothing}) differs from its columns' ({columnar.lm_smoothing}); "
+            f"build the columns with the scorer's smoothing"
+        )
+    directory.mkdir(parents=True, exist_ok=True)
+
     ids, xs, ys = compact.csr_node_arrays()
     indptr, indices, lengths = compact.csr_index_arrays()
     arrays = dict(zip(_NETWORK_FIELDS, (ids, xs, ys, indptr, indices, lengths)))
@@ -646,13 +682,6 @@ def save_bundle(
         compressed_columns=_COMPRESSED_NETWORK_COLUMNS,
     )
 
-    # The columnar scoring index persists as raw arrays (mmap-able on load);
-    # bundles from legacy construction paths freeze one on the fly.
-    columnar = bundle.columnar
-    if columnar is None:
-        columnar = ColumnarScoringIndex.build(
-            bundle.corpus, bundle.mapping, compact.coords, vsm=bundle.vsm
-        )
     raw_scoring = _write_npz(
         directory / SCORING_NAME,
         columnar.arrays(),
@@ -666,7 +695,6 @@ def save_bundle(
     # sharing on load). The scorer and VSM drop their columnar attachment when
     # pickled (see their __getstate__), so the columns are stored only once —
     # in scoring.npz.
-    payload = (bundle.corpus, bundle.mapping, bundle.vsm, bundle.grid, bundle.scorer)
     raw_index = _write_pickle_atomic(directory / INDEX_NAME, payload, compression)
 
     # The sorted term list IS the columnar term-id table (id = position).
@@ -693,7 +721,7 @@ def save_bundle(
 
     manifest = ArtifactManifest(
         format_version=FORMAT_VERSION,
-        fingerprint=fingerprint or dataset_fingerprint(compact, bundle.corpus),
+        fingerprint=fingerprint or bundle.fingerprint(),
         grid_resolution=bundle.grid_resolution,
         scoring_mode=bundle.scoring_mode.value,
         lm_smoothing=columnar.lm_smoothing,
@@ -732,14 +760,138 @@ def verify_artifact(path: PathLike) -> ArtifactManifest:
         file_path = directory / name
         if not file_path.is_file():
             raise ArtifactError(f"artifact file {name} missing from {directory}")
-        actual = _sha256_file(file_path)
-        if actual != expected:
-            raise ArtifactError(
-                f"checksum mismatch for {name} in {directory}: "
-                f"manifest says {expected[:12]}…, file hashes to {actual[:12]}… "
-                f"(artifact corrupted or tampered with)"
-            )
+        _check_digest(name, expected, _sha256_file(file_path), directory)
     return manifest
+
+
+def _check_digest(name: str, expected: str, actual: str, directory: Path) -> None:
+    if actual != expected:
+        raise ArtifactError(
+            f"checksum mismatch for {name} in {directory}: "
+            f"manifest says {expected[:12]}…, file hashes to {actual[:12]}… "
+            f"(artifact corrupted or tampered with)"
+        )
+
+
+def open_scoring_columns(
+    path: PathLike, manifest: ArtifactManifest, mmap: bool = True
+) -> ColumnarScoringIndex:
+    """Open the columnar scoring index of the artifact at ``path`` — no unpickling.
+
+    Reads ``scoring.npz`` (memory-mapped unless ``mmap`` is false) and
+    ``vocabulary.json``. This is the columns-only opener both
+    :func:`load_bundle` and the sharded gateway's routing bounds use. It does
+    not check checksums; callers that want them call :func:`verify_artifact`
+    first.
+
+    Raises:
+        ArtifactError: If either file is missing, unreadable or malformed.
+    """
+    directory = Path(path)
+    scoring_path = directory / SCORING_NAME
+    vocabulary_path = directory / VOCABULARY_NAME
+    try:
+        scoring_arrays = (
+            _mmap_npz(scoring_path) if mmap else _load_npz_eager(scoring_path)
+        )
+    except ArtifactError:
+        raise
+    except Exception as exc:  # missing file / corrupt zip / bad npy header
+        raise ArtifactError(f"cannot read {SCORING_NAME}: {exc}") from exc
+    missing = [name for name in _SCORING_FIELDS if name not in scoring_arrays]
+    if missing:
+        raise ArtifactError(f"scoring.npz is missing arrays: {missing}")
+    try:
+        terms = json.loads(vocabulary_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"malformed {VOCABULARY_NAME}: {exc}") from exc
+    try:
+        return ColumnarScoringIndex.from_arrays(
+            terms, scoring_arrays, lm_smoothing=manifest.lm_smoothing
+        )
+    except IndexError_ as exc:
+        raise ArtifactError(
+            f"{SCORING_NAME} does not match {VOCABULARY_NAME}: {exc}"
+        ) from exc
+
+
+class _ObjectGraphLoader:
+    """Unpickles an artifact's ``index.pkl`` on first use, exactly once.
+
+    Called (under its lock) by the first read of a loaded bundle's ``corpus``,
+    ``mapping``, ``vsm``, ``grid`` or ``scorer``; every later call returns the
+    same tuple. A failed load caches nothing, so every access fails the same
+    way until the file is fixed.
+    """
+
+    def __init__(
+        self,
+        directory: Path,
+        manifest: ArtifactManifest,
+        verify: bool,
+        columnar: ColumnarScoringIndex,
+        pipeline: WeightPipeline,
+    ) -> None:
+        self._directory = directory
+        self._manifest = manifest
+        self._verify = verify
+        self._columnar = columnar
+        self._pipeline = pipeline
+        self._lock = threading.Lock()
+        self._graph: Optional[tuple] = None
+
+    def __call__(self) -> tuple:
+        with self._lock:
+            if self._graph is None:
+                self._graph = self._load()
+            return self._graph
+
+    def _load(self) -> tuple:
+        manifest = self._manifest
+        try:
+            index_bytes = (self._directory / INDEX_NAME).read_bytes()
+        except OSError as exc:
+            raise ArtifactError(f"cannot read {INDEX_NAME}: {exc}") from exc
+        # The file may have been replaced since the artifact was opened: check
+        # the bytes actually about to be unpickled, not the ones hashed at load.
+        expected = manifest.checksums.get(INDEX_NAME)
+        if self._verify and expected is not None:
+            _check_digest(
+                INDEX_NAME, expected, hashlib.sha256(index_bytes).hexdigest(),
+                self._directory,
+            )
+        try:
+            if manifest.compression is not None:
+                index_bytes = decompress_bytes(
+                    index_bytes,
+                    str(manifest.compression.get("codec")),
+                    context=INDEX_NAME,
+                )
+            corpus, mapping, vsm, grid, scorer = pickle.loads(index_bytes)
+        except ArtifactError:
+            raise
+        except Exception as exc:  # unpicklable / truncated payload
+            raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
+        if not isinstance(scorer, RelevanceScorer) or not isinstance(
+            corpus, ObjectCorpus
+        ):
+            raise ArtifactError(f"{INDEX_NAME} does not hold an index object graph")
+        if scorer.mode.value != manifest.scoring_mode:
+            raise ArtifactError(
+                f"{INDEX_NAME} holds a {scorer.mode.value} scorer but the manifest "
+                f"says {manifest.scoring_mode}; rebuild the artifact"
+            )
+        if scorer.language_model_smoothing not in (None, manifest.lm_smoothing):
+            raise ArtifactError(
+                f"{INDEX_NAME} holds a language-model scorer with smoothing "
+                f"{scorer.language_model_smoothing}, but the columns were built "
+                f"with {manifest.lm_smoothing}; rebuild the artifact"
+            )
+        # Re-attach the memmapped columns (the pickle deliberately excludes
+        # them), sharing the pipeline the bundle has served reads with.
+        vsm.attach_columnar(self._columnar)
+        scorer.attach_columnar(self._columnar, pipeline=self._pipeline)
+        return corpus, mapping, vsm, grid, scorer
 
 
 def load_bundle(
@@ -747,23 +899,37 @@ def load_bundle(
 ) -> "IndexBundle":
     """Load the artifact at ``path`` back into an :class:`IndexBundle`.
 
+    Only the manifest, ``network.npz``, ``scoring.npz`` and
+    ``vocabulary.json`` are opened here: queries read nothing else. The
+    ``index.pkl`` object graph (corpus, mapping, vector-space model, grid,
+    scorer) is unpickled on the first access to any of those five bundle
+    attributes — overlay mutations, compaction, sharding, re-saving and the
+    scalar scoring fallbacks touch them; the query path does not.
+
     Args:
         path: The artifact directory.
         mmap: Map the CSR arrays read-only from disk (the default). ``False``
             loads them eagerly into process memory — use it when the artifact
             lives on storage that will disappear (e.g. a deleted temp dir).
-        verify: Verify file checksums against the manifest before loading
-            (detects on-disk corruption; costs one streaming hash per file).
+        verify: Verify all four payload checksums against the manifest before
+            loading (detects on-disk corruption; costs one streaming hash per
+            file), and verify ``index.pkl`` again right before it is unpickled,
+            so a file replaced after load is rejected rather than used.
 
     Returns:
-        A bundle equivalent to the one that was saved. Its ``network`` field is
-        ``None`` until :meth:`IndexBundle.road_network
+        A bundle that answers queries identically to the one that was saved.
+        Its ``network`` field is ``None`` until :meth:`IndexBundle.road_network
         <repro.service.bundle.IndexBundle.road_network>` thaws the snapshot on
-        demand; every query path runs on the CSR snapshot and never needs it.
+        demand, and its object graph is deferred until first access (see
+        :attr:`IndexBundle.object_graph_loaded
+        <repro.service.bundle.IndexBundle.object_graph_loaded>`).
 
     Raises:
         ArtifactError: On a missing/malformed artifact, an unsupported format
-            version, or (with ``verify``) a checksum mismatch.
+            version, or (with ``verify``) a checksum mismatch. A bad
+            ``index.pkl`` that the load-time checks cannot see (verify off, or
+            the file changed after load) raises :class:`ArtifactError` at the
+            first access of the object graph instead.
     """
     from repro.service.bundle import IndexBundle  # deferred: bundle imports persist
 
@@ -772,16 +938,15 @@ def load_bundle(
     manifest = verify_artifact(directory) if verify else read_manifest(directory)
 
     network_path = directory / NETWORK_NAME
-    scoring_path = directory / SCORING_NAME
-    index_path = directory / INDEX_NAME
-    vocabulary_path = directory / VOCABULARY_NAME
-    if (
-        not network_path.is_file()
-        or not scoring_path.is_file()
-        or not index_path.is_file()
-        or not vocabulary_path.is_file()
+    if not all(
+        (directory / name).is_file()
+        for name in (NETWORK_NAME, SCORING_NAME, INDEX_NAME, VOCABULARY_NAME)
     ):
         raise ArtifactError(f"artifact at {directory} is missing payload files")
+    try:
+        scoring_mode = ScoringMode(manifest.scoring_mode)
+    except ValueError as exc:
+        raise ArtifactError(f"malformed artifact manifest: {exc}") from exc
     try:
         arrays = _mmap_npz(network_path) if mmap else _load_npz_eager(network_path)
     except ArtifactError:
@@ -793,60 +958,20 @@ def load_bundle(
         raise ArtifactError(f"network.npz is missing arrays: {missing}")
     compact = CompactNetwork(*(arrays[name] for name in _NETWORK_FIELDS))
 
-    try:
-        scoring_arrays = (
-            _mmap_npz(scoring_path) if mmap else _load_npz_eager(scoring_path)
-        )
-    except ArtifactError:
-        raise
-    except Exception as exc:
-        raise ArtifactError(f"cannot read {SCORING_NAME}: {exc}") from exc
-    missing = [name for name in _SCORING_FIELDS if name not in scoring_arrays]
-    if missing:
-        raise ArtifactError(f"scoring.npz is missing arrays: {missing}")
-    try:
-        terms = json.loads(vocabulary_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ArtifactError(f"malformed {VOCABULARY_NAME}: {exc}") from exc
-    columnar = ColumnarScoringIndex.from_arrays(
-        terms, scoring_arrays, lm_smoothing=manifest.lm_smoothing
-    )
-
-    try:
-        index_bytes = index_path.read_bytes()
-        if manifest.compression is not None:
-            index_bytes = decompress_bytes(
-                index_bytes,
-                str(manifest.compression.get("codec")),
-                context=INDEX_NAME,
-            )
-        corpus, mapping, vsm, grid, scorer = pickle.loads(index_bytes)
-    except ArtifactError:
-        raise
-    except Exception as exc:  # unpicklable / truncated payload
-        raise ArtifactError(f"cannot deserialise {INDEX_NAME}: {exc}") from exc
-    # Re-attach the memmapped columns: the pickle deliberately excludes them.
-    vsm.attach_columnar(columnar)
-    scorer.attach_columnar(columnar)
-
+    columnar = open_scoring_columns(directory, manifest, mmap=mmap)
+    pipeline = WeightPipeline(columnar, scoring_mode)
     elapsed = time.perf_counter() - start
-    bundle = IndexBundle(
-        network=None,
-        corpus=corpus,
-        mapping=mapping,
-        vsm=vsm,
-        grid=grid,
-        scorer=scorer,
-        scoring_mode=scorer.mode,
-        grid_resolution=manifest.grid_resolution,
-        build_seconds={"load": elapsed, "total": elapsed},
+    return IndexBundle._from_columns(
         compact=compact,
         columnar=columnar,
+        pipeline=pipeline,
+        scoring_mode=scoring_mode,
+        grid_resolution=manifest.grid_resolution,
+        build_seconds={"load": elapsed, "total": elapsed},
+        # Loaded bundles never re-hash their own content to identify themselves.
+        fingerprint=manifest.fingerprint,
+        load_graph=_ObjectGraphLoader(directory, manifest, verify, columnar, pipeline),
     )
-    # Seed the lazy fingerprint cache from the manifest: loaded bundles never
-    # need to re-hash their own content to identify themselves.
-    object.__setattr__(bundle, "_fingerprint", manifest.fingerprint)
-    return bundle
 
 
 # ---------------------------------------------------------------------- caching

@@ -61,12 +61,10 @@ from repro.objects.corpus import ObjectCorpus
 from repro.objects.mapping import NodeObjectMap
 from repro.service.persist import (
     MANIFEST_NAME,
-    SCORING_NAME,
-    VOCABULARY_NAME,
     PathLike,
-    _mmap_npz,
     _write_bytes_atomic,
     dataset_fingerprint,
+    open_scoring_columns,
     read_manifest,
     save_bundle,
 )
@@ -277,7 +275,7 @@ def build_shards(
     shards_dir.mkdir(parents=True, exist_ok=True)
 
     if base_fingerprint is None:
-        base_fingerprint = dataset_fingerprint(compact, bundle.corpus)
+        base_fingerprint = bundle.fingerprint()
     min_x, min_y, max_x, max_y = compact.bounding_box()
     bbox = Rectangle(min_x, min_y, max_x, max_y)
     kx, ky = _tile_grid(num_shards)
@@ -782,6 +780,7 @@ class ShardedQueryService:
         self._inflight_lock = threading.Lock()
         self._in_flight = 0
         self._shed = 0
+        self._routing_fallbacks = 0
 
     # ------------------------------------------------------------------ lifecycle
     def __enter__(self) -> "ShardedQueryService":
@@ -915,21 +914,19 @@ class ShardedQueryService:
             return self._router
 
     def _load_bounds(self):
-        """Open the base artifact's bound columns without unpickling the indexes."""
+        """Open the base artifact's bound columns without unpickling the indexes.
+
+        Returns ``None`` when the columns cannot be read: routing bounds are an
+        optimisation, so the gateway serves without zero-mass skipping rather
+        than failing, and counts the degradation in :meth:`stats`.
+        """
         from repro.core.bounds import UpperBoundIndex  # deferred: cycle guard
 
         try:
-            arrays = _mmap_npz(self._path / SCORING_NAME)
-            terms = json.loads(
-                (self._path / VOCABULARY_NAME).read_text(encoding="utf-8")
-            )
-            columnar = ColumnarScoringIndex.from_arrays(
-                terms, arrays, lm_smoothing=self._manifest.lm_smoothing
-            )
+            columnar = open_scoring_columns(self._path, self._manifest)
             return UpperBoundIndex.from_columnar(columnar, self._manifest.scoring_mode)
-        except Exception:
-            # Routing bounds are an optimisation; serve without skipping rather
-            # than failing the gateway.
+        except (ArtifactError, OSError, ValueError):
+            self._routing_fallbacks += 1
             return None
 
     def stats(self) -> ServiceStats:
@@ -938,6 +935,8 @@ class ShardedQueryService:
         The cache counters are the gateway-visible approximation derived from
         the timing flags (hits = per-worker cache hits the workers reported;
         sizes are not observable across processes and read 0).
+        ``degradations["routing_bounds"]`` counts the router loads that found
+        the base artifact's bound columns unreadable and routed without them.
         """
         from repro.service.cache import CacheStats
 
@@ -965,6 +964,11 @@ class ShardedQueryService:
             result_cache=result_cache,
             instance_cache=instance_cache,
             totals=totals,
+            degradations=(
+                {"routing_bounds": self._routing_fallbacks}
+                if self._routing_fallbacks
+                else {}
+            ),
         )
 
     def reset_stats(self) -> None:

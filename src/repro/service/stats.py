@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
@@ -216,12 +216,17 @@ class ServiceStats:
         instance_cache: Snapshot of the instance cache's counters.
         totals: Exact aggregate counters (see :class:`StatTotals`); derived from
             ``timings`` when a snapshot is constructed without one.
+        degradations: Counts of degraded-but-served events by kind (for
+            example the sharded gateway's ``routing_bounds``: routing without
+            the bound columns, so without zero-mass skips). Empty when nothing
+            degraded.
     """
 
     timings: List[QueryTiming]
     result_cache: CacheStats
     instance_cache: CacheStats
     totals: Optional[StatTotals] = None
+    degradations: Dict[str, int] = field(default_factory=dict)
 
     def _totals(self) -> StatTotals:
         return (
@@ -234,21 +239,26 @@ class ServiceStats:
     def merge(cls, parts: Iterable["ServiceStats"]) -> "ServiceStats":
         """Combine per-worker snapshots into one aggregate snapshot.
 
-        Timing records are concatenated in the given part order, cache counters
-        and totals are summed. Merging zero parts yields an empty snapshot.
+        Timing records are concatenated in the given part order, cache counters,
+        totals and degradation counts are summed. Merging zero parts yields an
+        empty snapshot.
         """
         part_list = list(parts)
         timings: List[QueryTiming] = []
         totals = StatTotals()
+        degradations: Dict[str, int] = {}
         for part in part_list:
             timings.extend(part.timings)
             totals = totals + part._totals()
+            for kind, count in part.degradations.items():
+                degradations[kind] = degradations.get(kind, 0) + count
         empty = CacheStats(hits=0, misses=0, evictions=0, size=0, max_size=0)
         return cls(
             timings=timings,
             result_cache=_sum_cache_stats([p.result_cache for p in part_list]) if part_list else empty,
             instance_cache=_sum_cache_stats([p.instance_cache for p in part_list]) if part_list else empty,
             totals=totals,
+            degradations=degradations,
         )
 
     @property

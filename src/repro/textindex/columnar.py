@@ -511,6 +511,19 @@ class ColumnarScoringIndex:
             return 0
         return int(self.term_df[tid])
 
+    def most_frequent_terms(self, count: int) -> List[Tuple[str, int]]:
+        """The ``count`` terms with the highest global document frequency.
+
+        Same order as :meth:`ObjectCorpus.most_frequent_terms
+        <repro.objects.corpus.ObjectCorpus.most_frequent_terms>` (frequency
+        descending, then term), read from the ``term_df`` column.
+        """
+        ranked = sorted(
+            zip(self.terms, np.asarray(self.term_df).tolist()),
+            key=lambda item: (-item[1], item[0]),
+        )
+        return [(term, df) for term, df in ranked[:count] if df > 0]
+
     def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(object_rows, tfidf_weights, raw_tf)`` slices for ``term``."""
         tid = self._term_ids.get(term)

@@ -155,6 +155,11 @@ class RelevanceScorer:
         return self._vsm
 
     @property
+    def language_model_smoothing(self) -> Optional[float]:
+        """The Jelinek–Mercer λ of a language-model scorer (``None`` in other modes)."""
+        return self._lm.smoothing if self._lm is not None else None
+
+    @property
     def columnar(self) -> Optional[ColumnarScoringIndex]:
         """The attached columnar index (``None`` when only the loop backend exists)."""
         return self._columnar
@@ -164,13 +169,24 @@ class RelevanceScorer:
         """The vectorised weight pipeline (``None`` without a compatible columnar index)."""
         return self._pipeline
 
-    def attach_columnar(self, columnar: ColumnarScoringIndex) -> None:
+    def attach_columnar(
+        self,
+        columnar: ColumnarScoringIndex,
+        pipeline: Optional[WeightPipeline] = None,
+    ) -> None:
         """Attach a columnar index built over this scorer's corpus + mapping.
 
         Enables the vectorised fast path of :meth:`node_weights`. A
         language-model scorer whose smoothing differs from the index's
         precomputed columns keeps the loop backend (the pipeline would answer a
         different model).
+
+        Args:
+            columnar: The columnar index.
+            pipeline: Optional existing pipeline over ``columnar`` in this
+                scorer's mode to share (a loaded bundle's, so the bundle and
+                the scorer keep one set of pipeline caches); a new one is built
+                when omitted.
         """
         self._columnar = columnar
         self._pipeline = None
@@ -180,7 +196,9 @@ class RelevanceScorer:
             and self._lm.smoothing != columnar.lm_smoothing
         ):
             return
-        self._pipeline = WeightPipeline(columnar, self._mode)
+        self._pipeline = (
+            pipeline if pipeline is not None else WeightPipeline(columnar, self._mode)
+        )
 
     def __getstate__(self):
         # The columnar index persists as raw arrays next to the pickle (see

@@ -201,6 +201,24 @@ class TestServeBatch:
         assert "served 6 request(s) x2" in out
         assert "result-cache hit rate" in out
 
+    def test_read_commands_never_unpickle_the_object_graph(
+        self, cli_artifact, capsys, monkeypatch
+    ):
+        import pickle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("index.pkl was unpickled on a read path")
+
+        monkeypatch.setattr(pickle, "loads", forbidden)
+        assert main(["info", str(cli_artifact), "--verify"]) == 0
+        assert main([
+            "query", str(cli_artifact), "--keywords", "cafe", "--delta", "600",
+        ]) == 0
+        assert main([
+            "serve-batch", str(cli_artifact), "--synthesize", "4", "--delta", "600",
+        ]) == 0
+        assert "served 4 request(s)" in capsys.readouterr().out
+
     def test_jsonl_requests(self, cli_artifact, tmp_path, capsys):
         requests = tmp_path / "requests.jsonl"
         requests.write_text(

@@ -441,6 +441,32 @@ def test_second_compaction_gets_next_generation_number(dataset, base_bundles,
     assert resolve_generation(root) == root / "gen-0002"
 
 
+def test_one_compaction_hashes_the_dataset_once(dataset, base_bundles, tmp_path,
+                                                monkeypatch):
+    from repro.service import persist
+
+    root = tmp_path / "artifact"
+    base_bundles[ScoringMode.TEXT_RELEVANCE].save(root)
+    some_id = next(iter(dataset.corpus)).object_id
+    append_delta_ops(root, [{"op": "rate", "id": some_id, "rating": 4.0}])
+    engine = LCMSREngine.from_artifact(root)
+    calls = []
+    real = persist.dataset_fingerprint
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(persist, "dataset_fingerprint", counting)
+    report = Compactor(engine, root=root).compact()
+    assert len(calls) == 1
+    # The report, the new manifest and the swapped-in bundle all agree, and
+    # reading them back hashes nothing more.
+    assert report.fingerprint == persist.read_manifest(report.path).fingerprint
+    assert engine.bundle.fingerprint() == report.fingerprint
+    assert len(calls) == 1
+
+
 # ------------------------------------------------------------ generation store
 class TestGenerationStore:
     def test_resolve_without_pointer_is_root(self, tmp_path):

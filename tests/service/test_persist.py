@@ -9,17 +9,31 @@ Covers the guarantees :mod:`repro.service.persist` documents:
 * the memory-mapped CSR arrays come back read-only,
 * two same-seed builds produce byte-identical artifacts (the determinism
   regression test for the dataset generators and the serialisation layer),
-* the fingerprint-keyed artifact cache used by the evaluation runner.
+* the fingerprint-keyed artifact cache used by the evaluation runner,
+* the deferred object graph: serving a loaded artifact never unpickles
+  ``index.pkl``; the first write-path access loads it exactly once, and a
+  replaced or corrupt file raises :class:`ArtifactError` at that access.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
+import shutil
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core.anytime import QueryPolicy
+from repro.core.instance import build_instance
+from repro.core.query import LCMSRQuery
+from repro.core.result import TopKResult
+from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.usanw import build_usanw_like
 from repro.engine import LCMSREngine
@@ -36,7 +50,10 @@ from repro.service import (
     read_manifest,
     verify_artifact,
 )
+from repro.service.generations import Compactor, DeltaOverlay, apply_op
 from repro.service.persist import INDEX_NAME, MANIFEST_NAME, NETWORK_NAME, SCORING_NAME
+from repro.service.sharding import build_shards
+from repro.textindex.relevance import RelevanceScorer, ScoringMode
 
 
 def _tiny_dataset(seed: int = 3):
@@ -362,3 +379,218 @@ class TestArtifactCache:
         assert read_manifest(artifact_dir).fingerprint == \
             dataset_fingerprint(dataset.network, dataset.corpus)
         assert bundle.describe().split(",")[0] == rebuilt.describe().split(",")[0]
+
+
+# ------------------------------------------------------- deferred object graph
+def _signature(result):
+    """Everything an answer carries that must be bit-equal (floats exactly)."""
+    if isinstance(result, TopKResult):
+        return tuple(_signature(r) for r in result.results)
+    return (result.region.nodes, result.region.edges, result.weight, result.length)
+
+
+_SMALL_WINDOW = Rectangle(100.0, 100.0, 430.0, 430.0)
+_READS = [
+    QueryRequest.create(["cafe", "restaurant"], delta=700.0, algorithm="app"),
+    QueryRequest.create(["cafe", "restaurant"], delta=700.0, algorithm="tgen"),
+    QueryRequest.create(["cafe", "restaurant"], delta=700.0, algorithm="greedy"),
+    QueryRequest.create(["cafe"], delta=500.0, region=_SMALL_WINDOW,
+                        algorithm="exact"),
+    QueryRequest.create(["cafe"], delta=600.0, k=3, algorithm="tgen"),
+    QueryRequest.create(["bar", "cafe"], delta=600.0, algorithm="greedy",
+                        policy=QueryPolicy.sampled(0.5, seed=3)),
+]
+
+
+@pytest.fixture()
+def unpickles(monkeypatch):
+    """Records every ``pickle.loads`` call — the only way ``index.pkl`` is read."""
+    calls = []
+    real = pickle.loads
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(pickle, "loads", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def mode_artifacts(tmp_path_factory):
+    """One built bundle and its saved artifact per scoring mode."""
+    dataset = _tiny_dataset()
+    root = tmp_path_factory.mktemp("modes")
+    artifacts = {}
+    for mode in ScoringMode:
+        bundle = IndexBundle.build(dataset.network, dataset.corpus,
+                                   grid_resolution=16, scoring_mode=mode)
+        bundle.save(root / mode.value)
+        artifacts[mode] = (root / mode.value, bundle)
+    return artifacts
+
+
+def _serve(engine):
+    with QueryService(engine, max_workers=1) as service:
+        return [_signature(service.execute(request)) for request in _READS]
+
+
+def _graph(bundle):
+    return (bundle.corpus, bundle.mapping, bundle.vsm, bundle.grid, bundle.scorer)
+
+
+class TestDeferredObjectGraph:
+    @pytest.mark.parametrize("mode", list(ScoringMode), ids=lambda m: m.value)
+    def test_serving_reads_never_unpickle(self, mode_artifacts, unpickles, mode):
+        path, built = mode_artifacts[mode]
+        engine = LCMSREngine.from_artifact(path)
+        engine.attach_overlay(DeltaOverlay(engine.bundle))  # nothing pending
+        served = _serve(engine)
+        assert unpickles == []
+        assert not engine.bundle.object_graph_loaded
+        assert "cells deferred" in engine.bundle.describe()
+        assert served == _serve(LCMSREngine.from_bundle(built))
+        # The scorer attaches the very pipeline the reads ran on.
+        pipeline = engine.bundle.weight_pipeline()
+        assert engine.bundle.scorer.pipeline is pipeline
+        assert engine.bundle.weight_pipeline() is pipeline
+        assert len(unpickles) == 1
+
+    def test_overlay_mutation_loads_the_graph_once(self, artifact, unpickles):
+        path, bundle = artifact
+        engine = LCMSREngine.from_artifact(path)
+        overlay = DeltaOverlay(engine.bundle)
+        engine.attach_overlay(overlay)
+        assert unpickles == []
+        some_id = next(iter(bundle.corpus)).object_id
+        apply_op(overlay, {"op": "rate", "id": some_id, "rating": 4.5})
+        assert len(unpickles) == 1
+        engine.query(["cafe"], delta=600.0, algorithm="greedy")
+        Compactor(engine).compact()
+        assert len(unpickles) == 1
+
+    def test_build_shards_loads_the_graph_once(self, artifact, unpickles, tmp_path):
+        path, _ = artifact
+        loaded = IndexBundle.load(path)
+        target = tmp_path / "sharded"
+        loaded.save(target)
+        build_shards(loaded, target, num_shards=2, halo_margin=300.0)
+        assert len(unpickles) == 1
+        assert loaded.object_graph_loaded
+
+    def test_save_loads_the_graph_once(self, artifact, unpickles, tmp_path):
+        path, _ = artifact
+        loaded = IndexBundle.load(path)
+        manifest = loaded.save(tmp_path / "copy")
+        assert len(unpickles) == 1
+        assert manifest.fingerprint == read_manifest(path).fingerprint
+        for name in (NETWORK_NAME, SCORING_NAME):
+            assert (tmp_path / "copy" / name).read_bytes() == (path / name).read_bytes()
+        assert _serve(LCMSREngine.from_artifact(tmp_path / "copy")) == _serve(
+            LCMSREngine.from_artifact(path)
+        )
+
+    def test_racing_first_accesses_unpickle_once(self, artifact, monkeypatch):
+        path, _ = artifact
+        calls = []
+        real = pickle.loads
+
+        def slow(data, *args, **kwargs):
+            calls.append(1)
+            time.sleep(0.05)  # widen the race window
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "loads", slow)
+        loaded = IndexBundle.load(path)
+        barrier = threading.Barrier(8, timeout=10)
+        seen = [None] * 8
+
+        def worker(index):
+            barrier.wait()
+            first = ("corpus", "mapping", "vsm", "grid", "scorer")[index % 5]
+            getattr(loaded, first)
+            seen[index] = _graph(loaded)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert all(graph is not None for graph in seen)
+        for graph in seen:
+            assert all(a is b for a, b in zip(graph, seen[0]))
+
+    def test_index_pkl_replaced_after_load_is_rejected_at_first_access(
+        self, artifact, tmp_path
+    ):
+        path, bundle = artifact
+        copy = tmp_path / "swapped"
+        shutil.copytree(path, copy)
+        loaded = IndexBundle.load(copy)
+        # A valid pickle of another dataset: only the checksum can tell.
+        other = tmp_path / "other"
+        IndexBundle.from_dataset(_tiny_dataset(seed=8)).save(other)
+        shutil.copyfile(other / INDEX_NAME, copy / INDEX_NAME)
+        reference = LCMSREngine.from_bundle(bundle).query(["cafe"], delta=600.0)
+        engine = LCMSREngine.from_bundle(loaded)
+        _assert_same_result(reference, engine.query(["cafe"], delta=600.0))
+        with pytest.raises(ArtifactError, match="checksum mismatch for index.pkl"):
+            engine.corpus
+        with pytest.raises(ArtifactError, match="checksum mismatch"):
+            loaded.scorer
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_index_pkl_without_verify_fails_at_first_access(
+        self, artifact, tmp_path, damage
+    ):
+        path, _ = artifact
+        copy = tmp_path / "corrupt"
+        shutil.copytree(path, copy)
+        blob = (copy / INDEX_NAME).read_bytes()
+        (copy / INDEX_NAME).write_bytes(
+            b"not a pickle at all" if damage == "garbage" else blob[: len(blob) // 2]
+        )
+        loaded = IndexBundle.load(copy, verify=False)
+        with pytest.raises(ArtifactError, match="cannot deserialise index.pkl"):
+            loaded.corpus
+        with pytest.raises(ArtifactError):
+            DeltaOverlay(loaded).remove_object(0)
+
+    def test_compressed_artifacts_defer_too(self, artifact, unpickles, tmp_path):
+        path, bundle = artifact
+        bundle.save(tmp_path / "zlib", compress="zlib")
+        raw = LCMSREngine.from_artifact(path)
+        packed = LCMSREngine.from_artifact(tmp_path / "zlib")
+        assert _serve(packed) == _serve(raw)
+        assert unpickles == []
+        assert len(packed.corpus) == len(bundle.corpus)
+        assert len(unpickles) == 1
+
+    def test_lm_bundle_with_mismatched_smoothing_serves_scalar_and_refuses_save(
+        self, mode_artifacts, tmp_path
+    ):
+        _, built = mode_artifacts[ScoringMode.LANGUAGE_MODEL]
+        scorer = RelevanceScorer(
+            built.corpus, built.mapping, mode=ScoringMode.LANGUAGE_MODEL,
+            language_model_smoothing=0.5, vsm=built.vsm, columnar=built.columnar,
+        )
+        mismatched = dataclasses.replace(built, scorer=scorer)
+        assert mismatched.weight_pipeline() is None
+        query = LCMSRQuery.create(["cafe", "restaurant"], delta=700.0)
+        scalar = TGENSolver().solve(
+            build_instance(mismatched.graph_view(), query, scorer=scorer)
+        )
+        served = LCMSREngine.from_bundle(mismatched).query(
+            ["cafe", "restaurant"], delta=700.0, algorithm="tgen"
+        )
+        assert _signature(served) == _signature(scalar)
+        with pytest.raises(ArtifactError, match="smoothing"):
+            mismatched.save(tmp_path / "mismatched")
+        assert not (tmp_path / "mismatched").exists()

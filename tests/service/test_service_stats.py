@@ -57,7 +57,10 @@ def test_merge_sums_counters_and_concatenates_timings():
     part_a = ServiceStats(timings=[_timing(0), _timing(1, result_hit=True)],
                           result_cache=_cache(1, 1), instance_cache=_cache(0, 1))
     part_b = ServiceStats(timings=[_timing(2)],
-                          result_cache=_cache(0, 1), instance_cache=_cache(1, 0))
+                          result_cache=_cache(0, 1), instance_cache=_cache(1, 0),
+                          degradations={"routing_bounds": 2})
+    merged = ServiceStats.merge([part_a, part_b, part_b])
+    assert merged.degradations == {"routing_bounds": 4}
     merged = ServiceStats.merge([part_a, part_b])
     assert merged.queries == 3
     assert merged.result_hits == 1
@@ -69,6 +72,7 @@ def test_merge_sums_counters_and_concatenates_timings():
     # Merging nothing is a well-defined empty snapshot.
     empty = ServiceStats.merge([])
     assert empty.queries == 0
+    assert empty.degradations == {}
     assert empty.mean_latency_seconds == 0.0
     assert empty.result_hit_rate == 0.0
 

@@ -20,6 +20,7 @@ from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.datasets.ny import build_ny_like
 from repro.engine import LCMSREngine
+from repro.evaluation.reporting import format_service_stats
 from repro.exceptions import ArtifactError, QueryError
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
@@ -361,6 +362,28 @@ def test_sharded_service_batch_parity(gateway_artifact, parity_queries):
     assert got == expected
     assert stats.queries == len(requests)
     assert stats.total_seconds > 0.0
+
+
+def test_unreadable_routing_bounds_degrade_visibly(gateway_artifact, parity_queries,
+                                                   tmp_path):
+    """A truncated base scoring.npz: the gateway still serves from its shards,
+    routes without zero-mass skips, and counts the degradation."""
+    keywords, delta, region = parity_queries[0]  # inside one tile: a shard serves it
+    requests = [QueryRequest.create(keywords, delta=delta, region=region,
+                                    algorithm=name) for name in ("tgen", "greedy")]
+    with ShardedQueryService(gateway_artifact, num_workers=1) as service:
+        expected = [_signature(r) for r in service.run_batch(requests)]
+        assert service.stats().degradations == {}
+    damaged = tmp_path / "damaged"
+    shutil.copytree(gateway_artifact, damaged)
+    scoring = damaged / "scoring.npz"
+    scoring.write_bytes(scoring.read_bytes()[: scoring.stat().st_size // 2])
+    with ShardedQueryService(damaged, num_workers=1) as service:
+        got = [_signature(r) for r in service.run_batch(requests)]
+        stats = service.stats()
+    assert got == expected
+    assert stats.degradations == {"routing_bounds": 1}
+    assert "degraded: routing_bounds" in format_service_stats(stats)
 
 
 def test_scatter_topk_exact_matches_global_optimum(gateway_artifact):

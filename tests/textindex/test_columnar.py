@@ -201,6 +201,8 @@ class TestColumnarStructure:
         for term in columnar.terms:
             assert columnar.document_frequency(term) == corpus.document_frequency(term)
         assert columnar.document_frequency("nosuchterm") == 0
+        for count in (1, 5, len(columnar.terms) + 3):
+            assert columnar.most_frequent_terms(count) == corpus.most_frequent_terms(count)
         # node → object CSR covers every mapped object exactly once
         total = sum(
             len(columnar.object_rows_at_node(pos)) for pos in range(columnar.num_nodes)
