@@ -18,8 +18,11 @@ test-parity:
 
 # The mutable-world gate: the mutation-parity suite (overlay serving and
 # post-compaction results byte-identical to a cold rebuild of the mutated
-# corpus), the cache-staleness hammer tests, and the CLI mutate/compact round
-# trips. Run after touching the overlay merge, the compactor or the caches.
+# corpus, the columnar merge against its loop oracle, mapping-reuse
+# compaction against a re-mapped build, delta-log appends against a full
+# rewrite), the cache-staleness hammer tests, the overlay-identity and
+# retired-entry sweep tests, and the CLI mutate/compact round trips. Run after
+# touching the overlay merge, the delta log, the compactor or the caches.
 test-mutation:
 	$(PYTHON) -m pytest tests/service/test_generations.py \
 		"tests/service/test_cli.py::TestMutateAndCompact" -q
@@ -74,12 +77,14 @@ bench-json:
 	REPRO_BENCH_JSON=BENCH_anytime.json $(PYTHON) -m pytest \
 		benchmarks/bench_anytime.py -q -s -o python_files="bench_*.py"
 
-# The repo benchmark's solve-bound workload (perfbench/BENCHMARK.md): one
-# 20 s closed-loop explore-solve run, end-to-end metrics only. The first run
-# in a checkout builds the benchmark worlds under .bench_build/ (about a
-# minute). Every answer is checked; a wrong one prints "correct": false.
+# The repo benchmark (perfbench/BENCHMARK.md): one 20 s closed-loop run of
+# WORKLOAD (default: the solve-bound explore-solve; also gateway-hot or
+# mutate-read), end-to-end metrics only. The first run in a checkout builds
+# the benchmark worlds under .bench_build/ (about a minute). Every answer is
+# checked; a wrong one prints "correct": false.
+WORKLOAD ?= explore-solve
 perfbench:
-	python3 perfbench/run.py --workload explore-solve --seed 1 --seconds 20 --trace 0
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed 1 --seconds 20 --trace 0
 
 # End-to-end artifact gate through the CLI: build a small artifact, verify and
 # reload it, and answer one query per solver (exact gets a small window so its

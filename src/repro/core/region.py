@@ -16,7 +16,7 @@ from repro.network.compact import GraphView
 from repro.network.graph import edge_key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Region:
     """A connected subgraph of the road network with query-dependent weight.
 

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.region import Region
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RegionResult:
     """The answer to one LCMSR query by one solver.
 

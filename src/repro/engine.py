@@ -12,7 +12,7 @@ an engine in :class:`repro.service.QueryService`.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
@@ -345,19 +345,34 @@ class LCMSREngine:
             self._bundle_generation += 1
 
     @property
+    def world_identity(self) -> Tuple[int, int, int]:
+        """``(bundle generation, overlay serial, overlay version)`` — cheap.
+
+        Changes exactly when :attr:`bundle_cache_key` does (the fingerprint
+        only changes with a swap, which bumps the generation), so the serving
+        layer compares this tuple on its hot path instead of formatting the
+        key. The overlay serial is 0 when no overlay is attached.
+        """
+        overlay = self._overlay
+        if overlay is None:
+            return (self._bundle_generation, 0, 0)
+        return (self._bundle_generation, overlay.serial, overlay.version)
+
+    @property
     def bundle_cache_key(self) -> str:
         """Identity string for the world this engine currently answers from.
 
         Folds the bundle's dataset fingerprint, the bundle generation and the
-        overlay mutation version, so two engines over different artifacts (or
-        one engine across a generation swap / pending mutations) can never
-        share a service cache entry.
+        overlay's process-unique serial and mutation version
+        (``o<serial>.<version>``), so two engines over different artifacts —
+        or one engine across a generation swap, pending mutations, or a
+        replaced overlay whose version count restarted — can never share a
+        service cache entry.
         """
-        overlay = self._overlay
-        overlay_version = overlay.version if overlay is not None else 0
+        generation, serial, version = self.world_identity
         return (
             f"{self._bundle.fingerprint()[:16]}"
-            f":g{self._bundle_generation}:o{overlay_version}"
+            f":g{generation}:o{serial}.{version}"
         )
 
     def configure_solver(self, name: str, solver: SolverUnion) -> None:

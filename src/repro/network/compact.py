@@ -39,6 +39,11 @@ materialisation at load time — construction touches only shapes plus one vecto
 id-uniqueness scan, and the expensive per-element mirror build is deferred until a
 traversal actually happens (artifact loads with checksum verification enabled stream
 the file once for hashing, which warms the page cache but still builds nothing).
+The pre-zipped ``(neighbor_id, length)`` pairs behind
+:meth:`CompactNetwork.neighbor_items` are built only on its first call (the dense
+solvers never read them), and a derived view's id mirrors reuse its parent
+snapshot's int objects, so window views cached by the serving layer — and the
+region node sets solved on them — allocate no ints of their own.
 
 :class:`GraphView` is the minimal protocol shared by :class:`RoadNetwork` and
 :class:`CompactNetwork`; solver and routing code is written against it so either
@@ -131,6 +136,8 @@ class CompactNetwork:
         "_nbr_pos_list",
         "_lengths_list",
         "_nbr_pairs_list",
+        "_id_source",
+        "_id_objects",
         "_id_to_index",
         "_num_edges",
         "_row_of_entry",
@@ -180,37 +187,70 @@ class CompactNetwork:
         self._nbr_pos_list: List[int] | None = None
         self._lengths_list: List[float] | None = None
         self._nbr_pairs_list: List[Tuple[int, float]] | None = None
+        # (parent snapshot, kept parent positions) of a derived view, until its
+        # id mirror has been built from the parent's int objects.
+        self._id_source: Tuple[CompactNetwork, np.ndarray] | None = None
+        self._id_objects: np.ndarray | None = None  # see _id_object_array
         self._id_to_index: Dict[int, int] | None = None
         self._row_of_entry: np.ndarray | None = None  # lazy np.repeat cache
         self._length_stats: Tuple[float, float, float] | None = None
         self._id_sort_order: Tuple[np.ndarray, np.ndarray] | None = None
 
+    def _id_list(self) -> List[int]:
+        """The node ids as Python ints (built lazily, on its own).
+
+        A derived view (window / subgraph) picks its ids out of the parent
+        snapshot's list instead of converting its own array, so it shares the
+        parent's int objects rather than allocating new ones.
+        """
+        ids = self._ids_list
+        if ids is None:
+            source = self._id_source
+            if source is None:
+                ids = self._ids.tolist()
+            else:
+                parent, keep = source
+                ids = parent._id_object_array()[keep].tolist()
+            self._ids_list = ids
+            self._id_source = None  # release the parent
+        return ids
+
+    def _id_object_array(self) -> np.ndarray:
+        """:meth:`_id_list`'s int objects in an object-dtype array (cached).
+
+        Fancy-indexing it selects the *same* int objects at C speed, which is
+        how derived views and neighbour-id mirrors share them.
+        """
+        if self._id_objects is None:
+            self._id_objects = np.array(self._id_list(), dtype=object)
+        return self._id_objects
+
     def _materialize_lists(self) -> None:
         """Build the flat list mirrors of the CSR arrays (idempotent, lazy)."""
-        if self._ids_list is not None:
+        if self._nbr_ids_list is not None:
             return
+        ids_list = self._id_list()
         indptr_list = self._indptr.tolist()
-        nbr_ids_list: List[int] = (
-            self._ids[self._indices].tolist() if self._indices.size else []
-        )
         nbr_pos_list: List[int] = self._indices.tolist()
+        # Neighbour ids are the row ids' own int objects, not a second copy.
+        id_objects = (
+            self._id_objects
+            if self._id_objects is not None
+            else np.array(ids_list, dtype=object)
+        )
+        nbr_ids_list: List[int] = id_objects[self._indices].tolist()
         lengths_list: List[float] = self._lengths.tolist()
-        # Pre-zipped (neighbor_id, length) pairs: neighbor_items() slices this one
-        # flat list (pointer copies only) instead of zipping two slices per call,
-        # which would allocate fresh tuples on every visit of a node.
-        nbr_pairs_list: List[Tuple[int, float]] = list(zip(nbr_ids_list, lengths_list))
         self._indptr_list = indptr_list
-        self._nbr_ids_list = nbr_ids_list
         self._nbr_pos_list = nbr_pos_list
         self._lengths_list = lengths_list
-        self._nbr_pairs_list = nbr_pairs_list
-        # Assigned last: readers gate on _ids_list, so under the GIL a concurrent
-        # reader either sees None (and rebuilds, idempotently) or a complete set.
-        self._ids_list = self._ids.tolist()
+        # Assigned last: readers gate on _nbr_ids_list, so under the GIL a
+        # concurrent reader either sees None (and rebuilds, idempotently) or a
+        # complete set.
+        self._nbr_ids_list = nbr_ids_list
 
     def _lists(self) -> Tuple[List[int], List[int], List[int], List[float], List[int]]:
         """Return ``(indptr, positions, neighbor_ids, lengths, ids)`` flat lists."""
-        if self._ids_list is None:
+        if self._nbr_ids_list is None:
             self._materialize_lists()
         return (
             self._indptr_list,  # type: ignore[return-value]
@@ -227,7 +267,7 @@ class CompactNetwork:
         """
         if self._id_to_index is None:
             self._id_to_index = {
-                node_id: index for index, node_id in enumerate(self._ids.tolist())
+                node_id: index for index, node_id in enumerate(self._id_list())
             }
         return self._id_to_index
 
@@ -384,7 +424,7 @@ class CompactNetwork:
 
     def node_ids(self) -> Iterator[int]:
         """Iterate over all node identifiers (snapshot order)."""
-        return iter(self._lists()[4])
+        return iter(self._id_list())
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over all undirected edges, each reported once in normalised order."""
@@ -404,9 +444,15 @@ class CompactNetwork:
     def neighbor_items(self, node_id: int) -> Iterator[Tuple[int, float]]:
         """Iterate over ``(neighbor_id, edge_length)`` pairs of ``node_id``."""
         index = self.index_of(node_id)
-        self._materialize_lists()
-        indptr = self._indptr_list
-        return iter(self._nbr_pairs_list[indptr[index] : indptr[index + 1]])
+        indptr, _, neighbor_ids, lengths, _ = self._lists()
+        pairs = self._nbr_pairs_list
+        if pairs is None:
+            # Pre-zipped pairs, built on the first call: slicing one flat list
+            # (pointer copies only) beats zipping two slices per call, which
+            # would allocate fresh tuples on every visit of a node.
+            pairs = list(zip(neighbor_ids, lengths))
+            self._nbr_pairs_list = pairs
+        return iter(pairs[indptr[index] : indptr[index + 1]])
 
     def degree(self, node_id: int) -> int:
         """Return the number of incident edges of ``node_id``."""
@@ -570,7 +616,7 @@ class CompactNetwork:
         counts = np.bincount(new_position[rows[entry_keep]], minlength=keep.size)
         new_indptr = np.zeros(keep.size + 1, dtype=np.int32)
         np.cumsum(counts, out=new_indptr[1:])
-        return CompactNetwork(
+        view = CompactNetwork(
             self._ids[keep],
             self._xs[keep],
             self._ys[keep],
@@ -579,6 +625,8 @@ class CompactNetwork:
             new_lengths,
             validate_ids=False,  # a subset of this snapshot's already-unique ids
         )
+        view._id_source = (self, keep)
+        return view
 
     def _entry_rows(self) -> np.ndarray:
         """Row (source-node position) of every CSR entry, cached after first use."""

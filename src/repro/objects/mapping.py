@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.exceptions import DatasetError, GraphError
 from repro.network.graph import RoadNetwork
@@ -32,6 +32,31 @@ class NodeObjectMap:
 
     node_to_objects: Dict[int, List[int]] = field(default_factory=dict)
     object_to_node: Dict[int, int] = field(default_factory=dict)
+
+    @classmethod
+    def from_assignment(
+        cls, objects: Iterable[GeoTextualObject], node_of: Mapping[int, int]
+    ) -> "NodeObjectMap":
+        """Record a known object → node assignment, in ``objects`` order.
+
+        Builds the same structure (including dict insertion order) that
+        :func:`map_objects_to_network` builds for ``objects`` when ``node_of``
+        holds the nodes it would pick — without any nearest-node search.
+
+        Raises:
+            DatasetError: If an object has no entry in ``node_of``.
+        """
+        mapping = cls()
+        for obj in objects:
+            try:
+                node_id = node_of[obj.object_id]
+            except KeyError:
+                raise DatasetError(
+                    f"object {obj.object_id} has no node in the given assignment"
+                ) from None
+            mapping.object_to_node[obj.object_id] = node_id
+            mapping.node_to_objects.setdefault(node_id, []).append(obj.object_id)
+        return mapping
 
     def objects_at(self, node_id: int) -> List[int]:
         """Return the object ids mapped to ``node_id`` (empty list if none)."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.exceptions import QueryError
 from repro.index.grid import GridIndex
@@ -224,6 +224,7 @@ class IndexBundle:
         objects,
         grid_resolution: int = 48,
         scoring_mode: ScoringMode = ScoringMode.TEXT_RELEVANCE,
+        node_of: Optional[Mapping[int, int]] = None,
     ) -> "IndexBundle":
         """Index an object *iterator* in bounded memory (the 1M-object path).
 
@@ -235,7 +236,8 @@ class IndexBundle:
         1. **Accumulate pass.** Objects stream into the corpus (incremental
            document frequencies / collection statistics) and are mapped to
            their nearest network nodes. Nothing object-count-sized beyond the
-           corpus itself is resident.
+           corpus itself is resident. With ``node_of`` the nodes are taken
+           from that known assignment instead of a nearest-node search.
         2. **Column emission pass.** The columnar scoring index is built with
            per-object inline ``wto`` arithmetic (see
            :meth:`ColumnarScoringIndex.build
@@ -260,12 +262,18 @@ class IndexBundle:
                 once, never materialised as a list.
             grid_resolution: Cells per axis of the (lazy) spatial grid.
             scoring_mode: Per-object weight definition.
+            node_of: Optional known ``object_id → node_id`` assignment
+                covering every object, holding the nodes
+                :func:`~repro.objects.mapping.map_objects_to_network` would
+                pick (the compactor passes the base mapping plus the overlay's
+                nodes). Results are then byte-identical without re-mapping.
 
         Returns:
             The immutable bundle, with a frozen CSR network snapshot.
 
         Raises:
             QueryError: If ``grid_resolution`` is not a positive integer.
+            DatasetError: If ``node_of`` misses an object.
         """
         if not isinstance(grid_resolution, int) or grid_resolution <= 0:
             raise QueryError(
@@ -281,7 +289,10 @@ class IndexBundle:
         timings["accumulate"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        mapping = map_objects_to_network(network, corpus)
+        if node_of is None:
+            mapping = map_objects_to_network(network, corpus)
+        else:
+            mapping = NodeObjectMap.from_assignment(corpus, node_of)
         timings["mapping"] = time.perf_counter() - start
 
         start = time.perf_counter()

@@ -21,8 +21,10 @@ framing of DBSP / Differential Dataflow):
   partial directory that loading detects and ignores.
 * :class:`Compactor` — re-freezes base+delta into a new generation:
   materialise the mutated corpus in canonical order, rebuild a full
-  :class:`~repro.service.bundle.IndexBundle` through the exact same build path
-  a cold rebuild uses, persist it as ``gen-NNNN``, mirror the served
+  :class:`~repro.service.bundle.IndexBundle` through
+  :meth:`~repro.service.bundle.IndexBundle.build_streaming` (columns
+  bit-equal to a cold rebuild's, with the known object → node assignment
+  instead of a re-map), persist it as ``gen-NNNN``, mirror the served
   generation's shard set, flip ``CURRENT``, and atomically swap the new bundle
   into the live engine (which bumps ``bundle_generation`` and invalidates the
   :class:`~repro.service.query_service.QueryService` caches).
@@ -39,8 +41,9 @@ results differing from a cold rebuild while statistics-changing mutations
 mutation-parity suite:
 
 * **after compaction** results are byte-identical to a cold rebuild of the
-  mutated dataset, for every scoring mode and every mutation — compaction goes
-  through the cold build path, so this holds structurally;
+  mutated dataset, for every scoring mode and every mutation — compaction
+  emits the cold build path's columns, and the object → node assignment it
+  reuses is the one a cold re-map computes;
 * **before compaction** overlay-serving results are byte-identical to the
   post-compaction results whenever the pending mutations preserve collection
   statistics: always for ``rating_if_match`` (statistics-free), and for
@@ -61,16 +64,19 @@ rebuilds from) materialises exactly that corpus order.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
 import re
 import threading
 import time
 import warnings
+from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -102,6 +108,27 @@ _GENERATION_PATTERN = re.compile(r"^gen-(\d{4,})$")
 
 
 # ------------------------------------------------------------------ delta overlay
+
+
+_overlay_serials = itertools.count(1)
+"""Process-unique overlay serials (0 is reserved for "no overlay")."""
+
+
+class _MergedOrder(NamedTuple):
+    """The merged node first-touch order of one overlay version, as columns.
+
+    Slots ``[0, base_count)`` are nodes first touched by a surviving base row;
+    the rest are the overlay tail.  ``positions`` holds base node-table
+    positions (−1 for nodes absent from the base table); ``slot_of`` maps every
+    node a live overlay entry sits on to its slot.
+    """
+
+    ids: np.ndarray
+    positions: np.ndarray
+    xs: np.ndarray
+    ys: np.ndarray
+    base_count: int
+    slot_of: Dict[int, int]
 
 
 class DeltaOverlay:
@@ -145,11 +172,12 @@ class DeltaOverlay:
         self._lm: Optional[LanguageModelScorer] = None
         self._entries: Dict[int, Optional[GeoTextualObject]] = {}
         self._nodes: Dict[int, int] = {}
+        self._serial = next(_overlay_serials)
         self._version = 0
         self._frozen = False
         self._lock = threading.RLock()
         self._superseded_cache: Optional[Tuple[int, np.ndarray]] = None
-        self._order_cache: Optional[Tuple[int, Tuple[Tuple[int, int, float, float], ...]]] = None
+        self._order_cache: Optional[Tuple[int, _MergedOrder]] = None
         self._node_positions_cache: Optional[Dict[int, int]] = None
 
     # ------------------------------------------------------------- introspection
@@ -158,6 +186,16 @@ class DeltaOverlay:
     def bundle(self) -> IndexBundle:
         """The frozen base bundle the overlay merges against."""
         return self._bundle
+
+    @property
+    def serial(self) -> int:
+        """Process-unique id of this overlay (never 0, never reused).
+
+        Folded into service cache keys next to :attr:`version`: two overlays
+        attached one after the other both count versions from 0, so the
+        version alone cannot tell their worlds apart.
+        """
+        return self._serial
 
     @property
     def version(self) -> int:
@@ -311,50 +349,68 @@ class DeltaOverlay:
         self._superseded_cache = (self._version, mask)
         return mask
 
-    def _merged_node_order(self) -> Tuple[Tuple[int, int, float, float], ...]:
-        """Node first-touch order over the canonical mutated corpus.
+    def _merged_node_order(self) -> _MergedOrder:
+        """Node first-touch order over the canonical mutated corpus, as columns.
 
-        Returns ``(node_id, base_position_or_-1, x, y)`` tuples: nodes first
-        touched by a surviving base row (ascending row order), then nodes first
-        touched by an overlay entry (entry order).  Query-independent, so it is
-        cached per overlay version.
+        Nodes first touched by a surviving base row come first (ascending row
+        order), then nodes first touched by an overlay entry (entry order).
+        The base part is gathered with numpy fancy indexing; only the overlay
+        tail is built in Python, so the cost is O(|V| array work + delta).
+        Query-independent, so it is cached per overlay version.
         """
         cached = self._order_cache
         if cached is not None and cached[0] == self._version:
             return cached[1]
         index = self._index
-        positions = np.asarray(index.obj_node_pos, dtype=np.int64)
-        surviving = (~self._superseded_rows()) & (positions >= 0)
+        obj_node_pos = np.asarray(index.obj_node_pos, dtype=np.int64)
+        surviving = (~self._superseded_rows()) & (obj_node_pos >= 0)
         rows = np.flatnonzero(surviving)
         sentinel = np.iinfo(np.int64).max
         first_touch = np.full(index.num_nodes, sentinel, dtype=np.int64)
-        np.minimum.at(first_touch, positions[rows], rows)
+        np.minimum.at(first_touch, obj_node_pos[rows], rows)
         touched = np.flatnonzero(first_touch < sentinel)
         ordered = touched[np.argsort(first_touch[touched], kind="stable")]
-        node_ids = index.node_ids
-        node_x = index.node_x
-        node_y = index.node_y
-        order = [
-            (int(node_ids[pos]), int(pos), float(node_x[pos]), float(node_y[pos]))
-            for pos in ordered
-        ]
-        seen = {entry[0] for entry in order}
+        node_x = np.asarray(index.node_x)
+        node_y = np.asarray(index.node_y)
+        base_count = int(ordered.size)
+        slot_of_pos = np.full(index.num_nodes, -1, dtype=np.int64)
+        slot_of_pos[ordered] = np.arange(base_count, dtype=np.int64)
+
+        # The overlay tail: nodes of live entries that no surviving base row
+        # touches, in entry order. ``slot_of`` records the slot of every node
+        # an overlay entry maps to, base part or tail.
+        slot_of: Dict[int, int] = {}
+        tail: List[Tuple[int, int, float, float]] = []
         position_of = self._node_positions()
         graph = self._bundle.graph_view()
         for object_id, obj in self._entries.items():
             if obj is None:
                 continue
             node = self._nodes[object_id]
-            if node in seen:
+            if node in slot_of:
                 continue
-            seen.add(node)
             pos = position_of.get(node, -1)
+            if pos >= 0 and slot_of_pos[pos] >= 0:
+                slot_of[node] = int(slot_of_pos[pos])
+                continue
+            slot_of[node] = base_count + len(tail)
             if pos >= 0:
                 x, y = float(node_x[pos]), float(node_y[pos])
             else:
                 x, y = graph.coords(node)
-            order.append((node, pos, float(x), float(y)))
-        result = tuple(order)
+            tail.append((node, pos, float(x), float(y)))
+
+        ids = np.asarray(index.node_ids, dtype=np.int64)[ordered]
+        positions = ordered
+        xs = node_x[ordered]
+        ys = node_y[ordered]
+        if tail:
+            tail_ids, tail_pos, tail_x, tail_y = zip(*tail)
+            ids = np.concatenate([ids, np.asarray(tail_ids, dtype=np.int64)])
+            positions = np.concatenate([positions, np.asarray(tail_pos, dtype=np.int64)])
+            xs = np.concatenate([xs, np.asarray(tail_x, dtype=np.float64)])
+            ys = np.concatenate([ys, np.asarray(tail_y, dtype=np.float64)])
+        result = _MergedOrder(ids, positions, xs, ys, base_count, slot_of)
         self._order_cache = (self._version, result)
         return result
 
@@ -409,6 +465,13 @@ class DeltaOverlay:
         mutations are pending — same arguments, same positivity rule, and the
         dict order a cold rebuild of the mutated corpus would produce (see the
         module docstring).
+
+        The merge is columnar: gather the base sums in merged node order, then
+        overwrite the slots of overlay-touched nodes with their scalar totals.
+        Tail slots start at 0.0 — a tail node is touched by no surviving base
+        row, so its base sum is exactly 0.0 — and the positivity and
+        ``node_window`` tests (``Rectangle.contains``' ``<=`` comparisons) run
+        as array masks.
         """
         with self._lock:
             keyword_list = list(keywords)
@@ -420,7 +483,7 @@ class DeltaOverlay:
                 if self._mode is ScoringMode.TEXT_RELEVANCE
                 else None
             )
-            position_of = self._node_positions()
+            order = self._merged_node_order()
             # Accumulate overlay contributions onto the base sum of their node,
             # in entry order — the same add sequence the cold bincount applies
             # (surviving base rows first, then overlay rows).
@@ -433,21 +496,23 @@ class DeltaOverlay:
                 score = self._score_object(obj, keyword_list, query_vector)
                 node = self._nodes[object_id]
                 if node not in totals:
-                    pos = position_of.get(node, -1)
+                    pos = int(order.positions[order.slot_of[node]])
                     totals[node] = float(base_sums[pos]) if pos >= 0 else 0.0
                 totals[node] = totals[node] + score
-            weights: Dict[int, float] = {}
-            for node, pos, x, y in self._merged_node_order():
-                value = totals.get(node)
-                if value is None:
-                    if pos < 0:
-                        continue
-                    value = float(base_sums[pos])
-                if not value > 0.0:
-                    continue
-                if node_window is not None and not node_window.contains(x, y):
-                    continue
-                weights[node] = value
+            values = base_sums[order.positions]
+            values[order.base_count:] = 0.0
+            for node, total in totals.items():
+                values[order.slot_of[node]] = total
+            keep = values > 0.0
+            if node_window is not None:
+                xs, ys = order.xs, order.ys
+                keep &= (
+                    (node_window.min_x <= xs)
+                    & (xs <= node_window.max_x)
+                    & (node_window.min_y <= ys)
+                    & (ys <= node_window.max_y)
+                )
+            weights = dict(zip(order.ids[keep].tolist(), values[keep].tolist()))
             if candidate_nodes is not None:
                 allowed = (
                     candidate_nodes
@@ -462,7 +527,7 @@ class DeltaOverlay:
 
         This is the corpus order a cold rebuild must use for results to be
         byte-identical to overlay serving — and the order the compactor feeds
-        to :meth:`IndexBundle.build`.
+        to :meth:`IndexBundle.build_streaming`.
         """
         with self._lock:
             corpus = ObjectCorpus()
@@ -474,6 +539,20 @@ class DeltaOverlay:
                 if obj is not None:
                     corpus.add(obj)
             return corpus
+
+    def object_nodes(self) -> Dict[int, int]:
+        """``object_id → node_id`` for every object of the mutated corpus.
+
+        Surviving base objects keep the base mapping (the network and their
+        coordinates are unchanged) and live entries keep the node
+        :meth:`_nearest_node` picked, which is decision-identical to the grid
+        mapper — so this is the assignment a cold re-map would compute. Ids of
+        tombstoned base objects may remain; they are in no mutated corpus.
+        """
+        with self._lock:
+            node_of = dict(self._bundle.mapping.object_to_node)
+            node_of.update(self._nodes)
+            return node_of
 
 
 # -------------------------------------------------------------------- delta log
@@ -549,12 +628,86 @@ def write_delta_log(root: "Path | str", ops: Sequence[Mapping]) -> None:
     _write_bytes_atomic(path, data)
 
 
+# write_delta_log's document, taken apart: with ``indent=2`` every op sits at
+# nesting level 2, so its encoding is the op's own indented encoding with each
+# line pushed 4 spaces right (JSON strings never hold a raw newline).
+_LOG_HEAD = '{\n  "ops": [\n    '
+_LOG_SEPARATOR = ",\n    "
+_LOG_TAIL = "\n  ]\n}"
+_EMPTY_LOG = '{\n  "ops": []\n}'
+
+
+def _op_fragment(op: Mapping) -> str:
+    """``op`` encoded exactly as it appears inside the delta-log document."""
+    return json.dumps(op, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _log_document(fragments: Sequence[str]) -> bytes:
+    if not fragments:
+        return _EMPTY_LOG.encode("utf-8")
+    return (_LOG_HEAD + _LOG_SEPARATOR.join(fragments) + _LOG_TAIL).encode("utf-8")
+
+
+class _FragmentCache:
+    """Per-op fragments of the delta logs this process last wrote.
+
+    An entry is trusted only while the file still holds exactly the bytes
+    this process last wrote there: any other writer (a CLI ``mutate`` in
+    another process, :func:`write_delta_log`, :func:`clear_delta_log`)
+    changes or removes it, and the next append re-reads the log. Comparing
+    the bytes — one read, no parse — rather than ``(st_ino, st_size,
+    st_mtime_ns)`` keeps the check sound when a cleared log's inode number is
+    reused by a same-size rewrite within one coarse mtime tick. Bounded to the
+    most recently appended-to roots.
+    """
+
+    CAPACITY = 8
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self._entries: "OrderedDict[Path, Tuple[bytes, List[str]]]" = OrderedDict()
+
+    def get(self, path: Path) -> Optional[List[str]]:
+        entry = self._entries.get(path)
+        if entry is None:
+            return None
+        try:
+            current = path.read_bytes()
+        except FileNotFoundError:
+            current = None
+        return entry[1] if current == entry[0] else None
+
+    def put(self, path: Path, document: bytes, fragments: List[str]) -> None:
+        self._entries[path] = (document, fragments)
+        self._entries.move_to_end(path)
+        while len(self._entries) > self.CAPACITY:
+            self._entries.popitem(last=False)
+
+
+_fragment_cache = _FragmentCache()
+
+
 def append_delta_ops(root: "Path | str", ops: Sequence[Mapping]) -> int:
-    """Append ``ops`` to the delta log; returns the total pending op count."""
-    pending = read_delta_log(root)
-    pending.extend(ops)
-    write_delta_log(root, pending)
-    return len(pending)
+    """Append ``ops`` to the delta log; returns the total pending op count.
+
+    The file bytes equal ``write_delta_log(root, all_pending_ops)``, but only
+    the new ops are encoded: the pending ops' fragments are cached from this
+    process's previous append and spliced back in, so an append costs
+    O(new ops) encoding plus one O(log) read and write instead of re-parsing
+    and re-encoding the whole log. A log changed by anyone else since is
+    re-read. The write stays an atomic temp-file-and-rename replace.
+    """
+    path = Path(os.path.abspath(Path(root) / DELTA_LOG_NAME))
+    with _fragment_cache.lock:
+        fragments = _fragment_cache.get(path)
+        if fragments is None:
+            fragments = [_op_fragment(op) for op in read_delta_log(root)]
+        # A new list, so the cached one never runs ahead of a failed write.
+        fragments = fragments + [_op_fragment(op) for op in ops]
+        document = _log_document(fragments)
+        _write_bytes_atomic(path, document)
+        _fragment_cache.put(path, document, fragments)
+    return len(fragments)
 
 
 def clear_delta_log(root: "Path | str") -> None:
@@ -698,7 +851,10 @@ class Compactor:
     scoring / network columns, byte for byte, as the eager
     :meth:`IndexBundle.build` a cold rebuild of the mutated dataset goes
     through (the streaming-parity suite pins that equivalence), while keeping
-    the compactor's peak memory bounded for million-object generations.  With
+    the compactor's peak memory bounded for million-object generations.  The
+    build is handed :meth:`DeltaOverlay.object_nodes` — surviving base objects
+    keep the base mapping, overlay entries the overlay's nodes — so no object
+    is re-mapped to its nearest node.  With
     an artifact ``root`` it then persists the bundle as ``<root>/gen-NNNN/``
     — inheriting the served generation's chunk-compression codec, so a
     compacted compressed artifact stays compressed — mirrors the served
@@ -743,6 +899,7 @@ class Compactor:
                 iter(corpus),
                 grid_resolution=base.grid_resolution,
                 scoring_mode=base.scoring_mode,
+                node_of=overlay.object_nodes(),
             )
             generation: Optional[str] = None
             target: Optional[Path] = None

@@ -146,8 +146,8 @@ class QueryService:
         self._pool_lock = threading.Lock()
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
-        self._generation_lock = threading.Lock()
-        self._seen_generation = engine.bundle_generation
+        self._sweep_lock = threading.Lock()
+        self._seen_identity = engine.world_identity
 
     # ------------------------------------------------------------------ lifecycle
     def __enter__(self) -> "QueryService":
@@ -205,24 +205,27 @@ class QueryService:
         self._result_cache.clear()
         self._instance_cache.clear()
 
-    def _invalidate_on_generation_change(self) -> None:
-        """Drop every cache entry once a bundle (generation) swap is observed.
+    def _sweep_retired_entries(self) -> None:
+        """Drop every cache entry once the engine's world identity changes.
 
-        Correctness does not depend on this — every key embeds the engine's
-        ``bundle_cache_key``, so an entry from generation N can never be
-        *served* for a generation-N+1 query — but without the sweep the
-        retired entries would linger until LRU pressure evicted them. The
-        double-checked lock keeps the hot path to one integer comparison.
+        The identity changes on a generation swap, on every overlay mutation
+        and when an overlay is attached or replaced — each time together with
+        ``bundle_cache_key``. Correctness does not depend on this sweep: every
+        key embeds ``bundle_cache_key``, so an entry keyed to a retired world
+        can never be *served* again. Without it, though, retired entries would
+        linger until LRU pressure evicted them — up to a full result cache and
+        instance cache of dead answers under a steady write stream. The
+        double-checked lock keeps the hot path to one tuple comparison.
         """
-        generation = self._engine.bundle_generation
-        if generation == self._seen_generation:
+        identity = self._engine.world_identity
+        if identity == self._seen_identity:
             return
-        with self._generation_lock:
-            if generation == self._seen_generation:
+        with self._sweep_lock:
+            if identity == self._seen_identity:
                 return
             self._result_cache.clear()
             self._instance_cache.clear()
-            self._seen_generation = generation
+            self._seen_identity = identity
 
     # ------------------------------------------------------------------ execution
     def execute(self, request: QueryRequest) -> ServiceResult:
@@ -253,7 +256,7 @@ class QueryService:
         and the accounting back to the gateway in one picklable pair.
         """
         start = time.perf_counter()
-        self._invalidate_on_generation_change()
+        self._sweep_retired_entries()
         algorithm = (request.algorithm or self._engine.default_algorithm).lower()
         # The query normalises its keywords at construction (strip / lower /
         # de-duplicate) and rejects empty keyword sets; the cache keys are then
@@ -315,9 +318,9 @@ class QueryService:
 
         self._result_cache.put(key, result)
         # Close the insert-after-sweep race: an in-flight query that started
-        # before a generation swap stores its (never-servable) old-generation
+        # before a swap or a mutation stores its (never-servable) retired-world
         # entry only to drop it here — so once every in-flight query has
-        # drained, no entry keyed to a retired generation survives.
+        # drained, no entry keyed to a retired world survives.
         if key.bundle_key != self._engine.bundle_cache_key:
             self._result_cache.clear()
             self._instance_cache.clear()

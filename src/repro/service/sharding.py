@@ -772,7 +772,11 @@ class ShardedQueryService:
         self._router_lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._collector = StatsCollector()
+        # Unbounded on purpose: the gateway's timing list is positional — the
+        # n-th completed request's worker timing is timings[n] (perfbench's
+        # gateway-hot pairs answers with worker time that way), which a
+        # bounded list would silently misalign past its bound.
+        self._collector = StatsCollector(max_timings=None)
         self._rejected = 0
         self._closed = False
         self._shed_threshold = shed_threshold

@@ -16,16 +16,19 @@ two requirements this module covers:
 The aggregate totals are carried explicitly in :class:`StatTotals` rather than
 re-derived from the timing list: :class:`StatsCollector` accumulates them inside
 the same critical section that appends the timing record, so a snapshot can
-never observe a timing whose counts are missing (or vice versa), and totals
-survive even if a future collector bounds its timing retention.
+never observe a timing whose counts are missing (or vice versa). The collector
+keeps only the most recent :data:`TIMING_RETENTION` timing records by
+default, so a long-running service holds bounded memory; the totals and the
+latency histogram stay exact over every query ever recorded.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
@@ -38,6 +41,9 @@ LATENCY_BUCKETS_PER_DECADE = 20
 
 LATENCY_NUM_BUCKETS = 9 * LATENCY_BUCKETS_PER_DECADE + 1
 """Buckets covering 1 µs … 1000 s, plus one overflow bucket at the top."""
+
+TIMING_RETENTION = 4096
+"""How many of the most recent per-query timing records a collector keeps."""
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,12 @@ class ServiceStats:
     """An immutable snapshot of a service's accumulated accounting.
 
     Attributes:
-        timings: One record per executed query, in completion order.
+        timings: Per-query records in completion order. A
+            :class:`~repro.service.query_service.QueryService` snapshot holds
+            only the most recent :data:`TIMING_RETENTION` queries (the sharded
+            gateway keeps every record); use the totals-backed properties
+            (``queries``, percentiles, …) for exact aggregates over every
+            query.
         result_cache: Snapshot of the result cache's counters.
         instance_cache: Snapshot of the instance cache's counters.
         totals: Exact aggregate counters (see :class:`StatTotals`); derived from
@@ -331,13 +342,19 @@ class StatsCollector:
 
     The timing append and the totals read-modify-write happen inside one
     critical section, so concurrent :meth:`record` calls can never interleave a
-    partial update — every snapshot's ``totals`` match its ``timings`` exactly
-    (the hammer test in ``tests/service/test_stats.py`` pounds on this).
+    partial update — while fewer than ``max_timings`` queries were recorded,
+    every snapshot's ``totals`` match its ``timings`` exactly (the hammer tests
+    in ``tests/service/test_service_stats.py`` pound on this). Past that, the
+    oldest timing records are dropped and the totals keep counting.
+
+    Args:
+        max_timings: How many of the most recent timing records to keep;
+            ``None`` keeps every record.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, max_timings: Optional[int] = TIMING_RETENTION) -> None:
         self._lock = threading.Lock()
-        self._timings: List[QueryTiming] = []
+        self._timings: Deque[QueryTiming] = deque(maxlen=max_timings)
         self._totals = StatTotals()
 
     def record(self, timing: QueryTiming) -> None:
@@ -356,7 +373,7 @@ class StatsCollector:
             self._totals = self._totals + contribution
 
     def reset(self) -> None:
-        """Drop all recorded timings and zero the totals."""
+        """Drop all retained timings and zero the totals."""
         with self._lock:
             self._timings.clear()
             self._totals = StatTotals()

@@ -196,6 +196,73 @@ class TestWindowing:
         }
 
 
+def _large_id_network(seed: int) -> RoadNetwork:
+    """A random network whose ids are outside CPython's small-int cache, so
+    int object identity is meaningful."""
+    source = random_geometric_network(num_nodes=200, extent=2000.0, seed=seed)
+    network = RoadNetwork()
+    for node in source.nodes():
+        network.add_node(10**9 + node.node_id, node.x, node.y)
+    for edge in source.edges():
+        network.add_edge(10**9 + edge.u, 10**9 + edge.v, edge.length)
+    return network
+
+
+class TestLazyMirrors:
+    """Window views build their neighbour pairs lazily and share id ints."""
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_window_view_neighbor_items_and_edges_match_dict_backend(self, seed):
+        network = _large_id_network(seed)
+        compact = CompactNetwork.from_network(network)
+        rng = random.Random(seed)
+        for _ in range(6):
+            window = Rectangle.from_center(rng.uniform(0, 2000), rng.uniform(0, 2000),
+                                           rng.uniform(300, 1200), rng.uniform(300, 1200))
+            view = compact.window_view(window)
+            reference = induced_subgraph(network, window)
+            # Traversal mirrors (what the dense solvers read) leave the pairs unbuilt.
+            view.adjacency_arrays()
+            assert view._nbr_pairs_list is None
+            for node_id in reference.node_ids():
+                assert list(view.neighbor_items(node_id)) == \
+                    list(reference.neighbor_items(node_id))
+            assert [(e.u, e.v, e.length) for e in view.edges()] == \
+                [(e.u, e.v, e.length) for e in
+                 CompactNetwork.from_network(reference).edges()]
+
+    def test_pairs_built_on_first_neighbor_items_call_only(self):
+        compact = CompactNetwork.from_network(_large_id_network(5))
+        first = next(compact.node_ids())
+        assert list(compact.edges())  # mirrors, no pairs
+        assert compact._nbr_pairs_list is None
+        items = list(compact.neighbor_items(first))
+        assert compact._nbr_pairs_list is not None
+        indptr, _, neighbor_ids, lengths, _ = compact.adjacency_arrays()
+        row = compact.index_of(first)
+        assert items == list(zip(neighbor_ids[indptr[row]:indptr[row + 1]],
+                                 lengths[indptr[row]:indptr[row + 1]]))
+
+    def test_view_ids_are_the_parents_int_objects(self):
+        compact = CompactNetwork.from_network(_large_id_network(6))
+        parent_ids = {id(node_id) for node_id in compact.node_ids()}
+        outer = compact.window_view(Rectangle(0.0, 0.0, 1500.0, 1500.0))
+        inner = outer.window_view(Rectangle(200.0, 200.0, 1000.0, 1000.0))
+        for view in (outer, inner):
+            _, _, neighbor_ids, _, ids = view.adjacency_arrays()
+            assert ids and neighbor_ids
+            assert {id(node_id) for node_id in ids} <= parent_ids
+            assert {id(node_id) for node_id in neighbor_ids} <= parent_ids
+            assert {id(node_id) for node_id, _ in
+                    view.neighbor_items(ids[0])} <= parent_ids
+            # Once built, a view no longer pins its parent.
+            assert view._id_source is None
+        # A pickled view rebuilds its ids from its own arrays, equal in value.
+        restored = pickle.loads(pickle.dumps(inner))
+        assert list(restored.node_ids()) == list(inner.node_ids())
+        assert list(restored.edges()) == list(inner.edges())
+
+
 class TestSnapshotSemantics:
     def test_pickle_round_trip(self, small_network):
         compact = CompactNetwork.from_network(small_network)

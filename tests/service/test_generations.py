@@ -19,7 +19,10 @@ import dataclasses
 import random
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.result import TopKResult
 from repro.datasets.ny import build_ny_like
@@ -381,6 +384,83 @@ class TestDeltaLog:
         assert overlay_from_delta_log(
             base_bundles[ScoringMode.TEXT_RELEVANCE], tmp_path) is None
 
+    @staticmethod
+    def _log_ops(count, start=0):
+        """Ops of every kind and shape: nested keyword dicts and lists, floats,
+        non-ASCII text (escaped by the encoder)."""
+        ops = []
+        for i in range(start, start + count):
+            kind = i % 4
+            if kind == 0:
+                ops.append({"op": "add", "id": 90000 + i, "x": 10.5 + i, "y": 1e-7 * i,
+                            "keywords": ["café", "bar"], "rating": 2.5})
+            elif kind == 1:
+                ops.append({"op": "update", "id": i, "x": -3.25, "y": 7.0,
+                            "keywords": {"cafe": 2, "museum": 1}, "rating": 0.1 * i})
+            elif kind == 2:
+                ops.append({"op": "rate", "id": i, "rating": 1.0 / 3.0})
+            else:
+                ops.append({"op": "remove", "id": i})
+        return ops
+
+    def _expected_bytes(self, tmp_path, ops):
+        reference = tmp_path / "reference"
+        reference.mkdir(exist_ok=True)
+        write_delta_log(reference, ops)
+        return (reference / DELTA_LOG_NAME).read_bytes()
+
+    def test_single_op_appends_equal_one_full_write(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        ops = self._log_ops(13)
+        for count, op in enumerate(ops, start=1):
+            assert append_delta_ops(root, [op]) == count
+            assert (root / DELTA_LOG_NAME).read_bytes() == \
+                self._expected_bytes(tmp_path, ops[:count])
+        assert read_delta_log(root) == ops
+        # An append of nothing still leaves write_delta_log's document.
+        assert append_delta_ops(root, []) == len(ops)
+        assert (root / DELTA_LOG_NAME).read_bytes() == self._expected_bytes(tmp_path, ops)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert append_delta_ops(empty, []) == 0
+        assert (empty / DELTA_LOG_NAME).read_bytes() == self._expected_bytes(tmp_path, [])
+
+    def test_external_rewrite_between_appends_is_detected(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        first = self._log_ops(3)
+        for op in first:
+            append_delta_ops(root, [op])
+        # Another writer (a CLI `mutate` in another process) replaces the log
+        # with a same-size document holding different ops.
+        swapped = [dict(op) for op in first]
+        swapped[2]["rating"] = 2.0 / 3.0
+        write_delta_log(root, swapped)
+        assert len((root / DELTA_LOG_NAME).read_bytes()) == \
+            len(self._expected_bytes(tmp_path, first))
+        extra = self._log_ops(1, start=7)
+        assert append_delta_ops(root, extra) == 4
+        assert (root / DELTA_LOG_NAME).read_bytes() == \
+            self._expected_bytes(tmp_path, swapped + extra)
+
+    def test_clear_between_appends_is_detected(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        for op in self._log_ops(5):
+            append_delta_ops(root, [op])
+        clear_delta_log(root)
+        later = self._log_ops(2, start=20)
+        assert append_delta_ops(root, later[:1]) == 1
+        assert append_delta_ops(root, later[1:]) == 2
+        assert (root / DELTA_LOG_NAME).read_bytes() == self._expected_bytes(tmp_path, later)
+        # Cleared and rewritten with the very same bytes the appender last
+        # wrote: the cached fragments still describe the file, so they are used.
+        clear_delta_log(root)
+        write_delta_log(root, later)
+        assert append_delta_ops(root, self._log_ops(1, start=30)) == 3
+        assert read_delta_log(root) == later + self._log_ops(1, start=30)
+
 
 # --------------------------------------------------------- end-to-end, on disk
 def test_disk_mutate_compact_serves_cold_equivalent(dataset, base_bundles, tmp_path):
@@ -684,3 +764,338 @@ def test_concurrent_queries_during_generation_swap(dataset, base_bundles):
             want = expected_engine.query(request.keywords, delta=request.delta,
                                          region=request.region)
             assert _signature(got) == _signature(want)
+
+
+# ------------------------------------------- columnar merge vs the loop oracle
+def _loop_merged_node_order(overlay):
+    """The per-node tuple loop the columnar merge replaced (kept as the oracle)."""
+    index = overlay._index
+    positions = np.asarray(index.obj_node_pos, dtype=np.int64)
+    surviving = (~overlay._superseded_rows()) & (positions >= 0)
+    rows = np.flatnonzero(surviving)
+    sentinel = np.iinfo(np.int64).max
+    first_touch = np.full(index.num_nodes, sentinel, dtype=np.int64)
+    np.minimum.at(first_touch, positions[rows], rows)
+    touched = np.flatnonzero(first_touch < sentinel)
+    ordered = touched[np.argsort(first_touch[touched], kind="stable")]
+    node_ids = index.node_ids
+    node_x = index.node_x
+    node_y = index.node_y
+    order = [
+        (int(node_ids[pos]), int(pos), float(node_x[pos]), float(node_y[pos]))
+        for pos in ordered
+    ]
+    seen = {entry[0] for entry in order}
+    position_of = overlay._node_positions()
+    graph = overlay._bundle.graph_view()
+    for object_id, obj in overlay._entries.items():
+        if obj is None:
+            continue
+        node = overlay._nodes[object_id]
+        if node in seen:
+            continue
+        seen.add(node)
+        pos = position_of.get(node, -1)
+        if pos >= 0:
+            x, y = float(node_x[pos]), float(node_y[pos])
+        else:
+            x, y = graph.coords(node)
+        order.append((node, pos, float(x), float(y)))
+    return tuple(order)
+
+
+def _loop_node_weights(overlay, keywords, window=None, candidate_nodes=None,
+                       node_window=None):
+    """The scalar merge loop the columnar merge replaced (kept as the oracle)."""
+    keyword_list = list(keywords)
+    base_sums = overlay._pipeline.node_sums(
+        keyword_list, window=window, exclude_rows=overlay._superseded_rows()
+    )
+    query_vector = (
+        overlay._bundle.vsm.query_vector(keyword_list)
+        if overlay._mode is ScoringMode.TEXT_RELEVANCE
+        else None
+    )
+    position_of = overlay._node_positions()
+    totals = {}
+    for object_id, obj in overlay._entries.items():
+        if obj is None:
+            continue
+        if window is not None and not window.contains(obj.x, obj.y):
+            continue
+        score = overlay._score_object(obj, keyword_list, query_vector)
+        node = overlay._nodes[object_id]
+        if node not in totals:
+            pos = position_of.get(node, -1)
+            totals[node] = float(base_sums[pos]) if pos >= 0 else 0.0
+        totals[node] = totals[node] + score
+    weights = {}
+    for node, pos, x, y in _loop_merged_node_order(overlay):
+        value = totals.get(node)
+        if value is None:
+            if pos < 0:
+                continue
+            value = float(base_sums[pos])
+        if not value > 0.0:
+            continue
+        if node_window is not None and not node_window.contains(x, y):
+            continue
+        weights[node] = value
+    if candidate_nodes is not None:
+        allowed = (
+            candidate_nodes
+            if isinstance(candidate_nodes, (set, frozenset))
+            else set(candidate_nodes)
+        )
+        weights = {n: w for n, w in weights.items() if n in allowed}
+    return weights
+
+
+def _bits(weights):
+    return [(node, value.hex()) for node, value in weights.items()]
+
+
+def _point_strategy(dataset, mapped, unmapped):
+    """Object coordinates: anywhere, on a node, or equidistant to two nodes."""
+    min_x, min_y, max_x, max_y = dataset.network.bounding_box()
+    anywhere = st.tuples(st.floats(min_x - 100.0, max_x + 100.0),
+                         st.floats(min_y - 100.0, max_y + 100.0))
+    network = dataset.network
+    on_mapped = st.sampled_from(sorted(mapped)).map(network.coords)
+    # Nodes no base object maps to: overlay objects there sit at base
+    # position -1 in the merged order.
+    on_unmapped = st.sampled_from(sorted(unmapped)).map(network.coords)
+    between = st.tuples(st.sampled_from(sorted(network.node_ids())),
+                        st.sampled_from(sorted(network.node_ids()))).map(
+        lambda pair: tuple((a + b) / 2.0 for a, b in zip(network.coords(pair[0]),
+                                                         network.coords(pair[1]))))
+    return st.one_of(anywhere, on_mapped, on_unmapped, between)
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_columnar_merge_equals_loop_oracle(dataset, base_bundles, mode):
+    """Random add/update/remove/rate scripts: same dict order, bit-equal values."""
+    bundle = base_bundles[mode]
+    vocab = _vocab(dataset.corpus)
+    mapped = {int(node) for node in bundle.columnar.node_ids}
+    unmapped = set(dataset.network.node_ids()) - mapped
+    assert unmapped, "the fixture world must have nodes without objects"
+    base_ids = sorted(dataset.corpus.object_ids())
+    points = _point_strategy(dataset, mapped, unmapped)
+    min_x, min_y, max_x, max_y = dataset.network.bounding_box()
+    rectangles = st.one_of(st.none(), st.tuples(
+        st.floats(min_x - 50.0, max_x), st.floats(min_y - 50.0, max_y),
+        st.floats(50.0, 900.0), st.floats(50.0, 900.0)).map(
+        lambda r: Rectangle(r[0], r[1], r[0] + r[2], r[1] + r[3])))
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def check(data):
+        overlay = DeltaOverlay(bundle)
+        live = set(base_ids)
+        next_id = 95000
+        for _ in range(data.draw(st.integers(1, 14), label="ops")):
+            kind = data.draw(st.sampled_from(["add", "update", "remove", "rate"]))
+            if kind == "add" or not live:
+                x, y = data.draw(points)
+                terms = data.draw(st.lists(st.sampled_from(vocab), min_size=1,
+                                           max_size=3))
+                overlay.add_object(GeoTextualObject.create(
+                    next_id, x, y, terms,
+                    rating=data.draw(st.floats(0.0, 5.0))))
+                live.add(next_id)
+                next_id += 1
+                continue
+            target = data.draw(st.sampled_from(sorted(live)))
+            if kind == "remove":
+                overlay.remove_object(target)
+                live.discard(target)
+            elif kind == "rate":
+                overlay.set_rating(target, data.draw(st.floats(0.0, 5.0)))
+            else:
+                current = overlay.get(target)
+                x, y = data.draw(points)
+                keywords = dict(current.keywords)
+                if data.draw(st.booleans(), label="retext"):
+                    keywords = {data.draw(st.sampled_from(vocab)): 1}
+                overlay.update_object(dataclasses.replace(
+                    current, x=x, y=y, keywords=keywords))
+            # Reads between writes exercise the per-version order cache.
+            if data.draw(st.booleans(), label="read"):
+                assert _bits(overlay.node_weights(vocab[:2])) == \
+                    _bits(_loop_node_weights(overlay, vocab[:2]))
+        keywords = data.draw(st.lists(st.sampled_from(vocab), min_size=1,
+                                      max_size=3, unique=True))
+        window = data.draw(rectangles, label="window")
+        node_window = data.draw(st.one_of(st.just(window), rectangles),
+                                label="node_window")
+        candidates = data.draw(st.one_of(
+            st.none(),
+            st.sets(st.sampled_from(sorted(dataset.network.node_ids())))),
+            label="candidate_nodes")
+        got = overlay.node_weights(keywords, window=window,
+                                   candidate_nodes=candidates,
+                                   node_window=node_window)
+        want = _loop_node_weights(overlay, keywords, window=window,
+                                  candidate_nodes=candidates,
+                                  node_window=node_window)
+        assert _bits(got) == _bits(want)
+
+    check()
+
+
+# -------------------------------------------- compaction with mapping reuse
+def _equidistant_points(network):
+    """Edge midpoints whose two endpoints are exactly equally far (float ties)."""
+    points = []
+    for edge in network.edges():
+        (ux, uy), (vx, vy) = network.coords(edge.u), network.coords(edge.v)
+        mx, my = (ux + vx) / 2.0, (uy + vy) / 2.0
+        if (ux - mx) ** 2 + (uy - my) ** 2 == (vx - mx) ** 2 + (vy - my) ** 2:
+            points.append((mx, my))
+    return points
+
+
+def _artifact_bytes(path):
+    return {child.relative_to(path).as_posix(): child.read_bytes()
+            for child in sorted(path.rglob("*")) if child.is_file()}
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_mapping_reuse_compaction_byte_identical_to_cold_rebuild(
+        dataset, base_bundles, mode, tmp_path):
+    """The compactor hands build_streaming the known object → node assignment
+    instead of re-mapping; the generation it writes must still equal, byte for
+    byte, a streamed build that maps every object from scratch — including
+    objects moved by updates and objects sitting exactly between two nodes
+    (smallest node id wins the tie on both paths)."""
+    ties = _equidistant_points(dataset.network)
+    assert len(ties) >= 6, "the fixture world must have exact midpoint ties"
+    rng = random.Random(SEED + 700)
+    ops = _mutation_script(dataset.corpus, rng)
+    vocab = _vocab(dataset.corpus)
+    moved = rng.sample(sorted(dataset.corpus.object_ids()), 6)
+    for index, object_id in enumerate(moved[:3]):
+        obj = dataset.corpus.get(object_id)
+        x, y = ties[index]
+        ops.append({"op": "update", "id": object_id, "x": x, "y": y,
+                    "keywords": dict(obj.keywords), "rating": obj.rating})
+    for index, object_id in enumerate(moved[3:]):
+        obj = dataset.corpus.get(object_id)
+        ops.append({"op": "update", "id": object_id,
+                    "x": obj.x + rng.uniform(-400.0, 400.0),
+                    "y": obj.y + rng.uniform(-400.0, 400.0),
+                    "keywords": dict(obj.keywords), "rating": obj.rating})
+    for index, (x, y) in enumerate(ties[3:6]):
+        ops.append({"op": "add", "id": 93000 + index, "x": x, "y": y,
+                    "keywords": vocab[index:index + 2], "rating": 1.5})
+
+    root = tmp_path / "artifact"
+    base_bundles[mode].save(root)
+    engine = LCMSREngine.from_artifact(root)
+    overlay = DeltaOverlay(engine.bundle)
+    apply_ops(overlay, ops)
+    engine.attach_overlay(overlay)
+    Compactor(engine, root=root).compact()
+
+    corpus = _expected_corpus(dataset.corpus, ops)
+    # The same (thawed) road network the compactor built from, re-mapped.
+    cold = IndexBundle.build_streaming(engine.bundle.network, iter(corpus),
+                                       grid_resolution=16, scoring_mode=mode)
+    assert list(engine.bundle.mapping.node_to_objects.items()) == \
+        list(cold.mapping.node_to_objects.items())
+    assert engine.bundle.mapping.object_to_node == cold.mapping.object_to_node
+    cold.save(tmp_path / "cold")
+    assert _artifact_bytes(root / "gen-0001") == _artifact_bytes(tmp_path / "cold")
+
+
+def test_build_streaming_rejects_an_incomplete_assignment(dataset):
+    corpus = list(dataset.corpus)
+    partial = {obj.object_id: 0 for obj in corpus[1:]}
+    with pytest.raises(DatasetError, match="no node in the given assignment"):
+        IndexBundle.build_streaming(dataset.network, iter(corpus), node_of=partial)
+
+
+# ------------------------------------- overlay identity and retired-entry sweep
+def test_replaced_overlay_never_serves_the_old_overlays_answer(dataset, base_bundles):
+    """Regression: two overlays attached in turn both count versions from 0.
+
+    A Greedy answer cached under overlay A at version 1 must not be served
+    under overlay B at version 1; the key carries each overlay's serial.
+    """
+    engine = LCMSREngine.from_bundle(base_bundles[ScoringMode.RATING_IF_MATCH])
+    vocab = _vocab(dataset.corpus)
+    request = QueryRequest.create(vocab[:2], delta=500.0, algorithm="greedy")
+    answer = engine.query(request.keywords, delta=request.delta, algorithm="greedy")
+    carrier = next(iter(answer.region.nodes))
+    victim = engine.mapping.objects_at(carrier)[0]
+    with QueryService(engine, max_workers=1) as service:
+        overlay_a = DeltaOverlay(engine.bundle)
+        overlay_a.set_rating(victim, 9.0)
+        engine.attach_overlay(overlay_a)
+        key_a = engine.bundle_cache_key
+        service.execute(request)
+
+        overlay_b = DeltaOverlay(engine.bundle)
+        overlay_b.remove_object(victim)
+        engine.attach_overlay(overlay_b)
+        assert overlay_a.version == overlay_b.version == 1
+        assert overlay_a.serial != overlay_b.serial
+        assert engine.bundle_cache_key != key_a
+
+        served = service.execute(request)
+        with QueryService(engine, max_workers=1) as fresh:
+            expected = fresh.execute(request)
+        assert _signature(served) == _signature(expected)
+
+
+def test_mutation_sweeps_entries_keyed_to_retired_overlay_versions(dataset,
+                                                                  base_bundles):
+    engine = LCMSREngine.from_bundle(base_bundles[ScoringMode.TEXT_RELEVANCE])
+    overlay = DeltaOverlay(engine.bundle)
+    engine.attach_overlay(overlay)
+    vocab = _vocab(dataset.corpus)
+    requests = [QueryRequest.create(vocab[i:i + 2], delta=450.0, algorithm=name)
+                for i in range(3) for name in ("greedy", "app")]
+    ids = iter(sorted(dataset.corpus.object_ids()))
+    with QueryService(engine, max_workers=2) as service:
+        for step in range(3):
+            service.run_batch(requests)
+            current = engine.bundle_cache_key
+            assert {k.bundle_key for k in service._result_cache.keys()} == {current}
+            assert {k.bundle_key for k in service._instance_cache.keys()} == {current}
+            overlay.set_rating(next(ids), 1.0 + step)
+            assert engine.bundle_cache_key != current
+            # The first read after the mutation sweeps every retired entry.
+            service.execute(requests[0])
+            live = engine.bundle_cache_key
+            assert {k.bundle_key for k in service._result_cache.keys()} == {live}
+            assert {k.bundle_key for k in service._instance_cache.keys()} <= {live}
+
+
+@pytest.mark.parametrize("mode", list(ScoringMode))
+def test_tail_node_with_no_in_window_entry_gets_no_weight(dataset, base_bundles, mode):
+    """An overlay-only node (base position -1) whose entries all lie outside
+    ``window`` carries no weight, whatever the base sums hold."""
+    bundle = base_bundles[mode]
+    index = bundle.columnar
+    mapped = {int(node) for node in index.node_ids}
+    unmapped = sorted(set(dataset.network.node_ids()) - mapped)
+    # A window around one object of the last base node: the base sum at the
+    # last table position (what index -1 would read) is positive.
+    last = index.num_nodes - 1
+    row = int(index.object_rows_at_node(last)[0])
+    anchor = dataset.corpus.get(int(index.object_ids[row]))
+    window = Rectangle(anchor.x - 1.0, anchor.y - 1.0, anchor.x + 1.0, anchor.y + 1.0)
+    keywords = sorted(anchor.keywords)[:1]
+    assert bundle.weight_pipeline().node_sums(keywords, window=window)[last] > 0.0
+
+    overlay = DeltaOverlay(bundle)
+    far = next(node for node in unmapped
+               if not window.contains(*dataset.network.coords(node)))
+    x, y = dataset.network.coords(far)
+    overlay.add_object(GeoTextualObject.create(96000, x, y, keywords, rating=3.0))
+    weights = overlay.node_weights(keywords, window=window)
+    assert far not in weights
+    assert _bits(weights) == _bits(_loop_node_weights(overlay, keywords, window=window))

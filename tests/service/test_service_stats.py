@@ -11,6 +11,7 @@ from repro.service.cache import CacheStats
 from repro.service.keys import ResultKey
 from repro.service.stats import (
     LATENCY_NUM_BUCKETS,
+    TIMING_RETENTION,
     LatencyHistogram,
     QueryTiming,
     ServiceStats,
@@ -215,6 +216,9 @@ class TestLatencyHistogram:
         snapshot = collector.snapshot(result_cache=_cache(0, 0),
                                       instance_cache=_cache(0, 0))
         expected = threads_n * per_thread
+        # Below the retention bound every timing is kept, so the totals can
+        # be re-derived from the timing list.
+        assert expected <= TIMING_RETENTION
         assert snapshot.totals.latency.total == expected
         assert snapshot.totals.latency == StatTotals.from_timings(
             snapshot.timings).latency
@@ -244,6 +248,7 @@ def test_collector_hammer_no_dropped_counts():
 
     snapshot = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
     expected = threads_n * per_thread
+    assert expected <= TIMING_RETENTION  # all timings kept: totals re-derivable
     assert snapshot.queries == expected
     assert len(snapshot.timings) == expected
     assert snapshot.result_hits == threads_n * (per_thread // 2)
@@ -265,3 +270,51 @@ def test_collector_snapshot_is_consistent_under_reset():
     assert empty.timings == []
     # The first snapshot froze its own copy: resetting did not mutate it.
     assert snapshot.queries == 5
+
+
+def test_collector_keeps_recent_timings_and_exact_totals_past_retention():
+    """Timing records are bounded; totals and the histogram never drop a query."""
+    collector = StatsCollector(max_timings=64)
+    threads_n, per_thread = 6, 150
+    barrier = threading.Barrier(threads_n)
+
+    def pound(worker: int) -> None:
+        barrier.wait()
+        for i in range(per_thread):
+            collector.record(_timing(worker * per_thread + i,
+                                     result_hit=(i % 3 == 0),
+                                     total_seconds=1e-3 * (1 + worker)))
+
+    threads = [threading.Thread(target=pound, args=(w,)) for w in range(threads_n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    collector.record_many([_timing(10_000 + i) for i in range(10)])
+
+    snapshot = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
+    expected = threads_n * per_thread + 10
+    assert len(snapshot.timings) == 64
+    assert [t.key for t in snapshot.timings[-10:]] == \
+        [_timing(10_000 + i).key for i in range(10)]
+    assert snapshot.queries == expected
+    assert snapshot.result_hits == threads_n * (per_thread // 3)
+    assert snapshot.totals.latency.total == expected
+    reference = StatTotals()
+    for worker in range(threads_n):
+        for i in range(per_thread):
+            reference = reference + StatTotals.of(
+                _timing(0, result_hit=(i % 3 == 0), total_seconds=1e-3 * (1 + worker)))
+    reference = reference + StatTotals.from_timings(_timing(0) for _ in range(10))
+    assert snapshot.totals.latency == reference.latency
+    assert snapshot.totals.queries == reference.queries
+
+
+def test_default_collector_retention_bound():
+    collector = StatsCollector()
+    collector.record_many([_timing(i) for i in range(TIMING_RETENTION + 5)])
+    snapshot = collector.snapshot(result_cache=_cache(0, 0), instance_cache=_cache(0, 0))
+    assert len(snapshot.timings) == TIMING_RETENTION
+    assert snapshot.queries == TIMING_RETENTION + 5
+    assert snapshot.timings[0].key == _timing(5).key
