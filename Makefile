@@ -7,12 +7,16 @@ export PYTHONPATH := src
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Just the byte-identity parity suites: solver backend (dict vs dense),
-# bound-based pruning (on vs off), and the GW moat growth against its frozen
+# Just the byte-identity parity suites: Greedy, TGEN and APP (solve and top-k)
+# against their frozen dict-keyed oracles in tests/core/dict_reference.py
+# (test_solver_backend_parity.py, the pickled-substrate check in test_dense.py
+# and the packed top-k pool in test_tgen.py), bound-based pruning (on vs off),
+# the graph backends (dict vs CSR), and the GW moat growth against its frozen
 # union-find oracle (test_pcst.py). The fast gate to run after touching a
 # solver hot loop or a skip branch.
 test-parity:
 	$(PYTHON) -m pytest tests/core/test_solver_backend_parity.py \
+		tests/core/test_dense.py "tests/core/test_tgen.py::TestPackedPool" \
 		tests/core/test_pruning_parity.py tests/core/test_backend_parity.py \
 		tests/core/test_pcst.py -q
 
@@ -54,9 +58,9 @@ bench-smoke: compact-smoke anytime-smoke
 		-o python_files="bench_*.py"
 
 # Record the perf numbers of the refactor benchmarks as JSON — the columnar
-# scoring pipeline (BENCH_scoring.json, bench_scoring.py), the dense solver
-# substrate (BENCH_solver.json, bench_solver_backend.py) and the bound-based
-# pruning subsystem (BENCH_pruning.json, bench_pruning.py, including the
+# scoring pipeline (BENCH_scoring.json, bench_scoring.py), the solve times on
+# the dense solver substrate (BENCH_solver.json, bench_solver.py) and the
+# bound-based pruning subsystem (BENCH_pruning.json, bench_pruning.py, including the
 # skip/visit counters) — so the repo's performance trajectory is captured run
 # over run. Runs at the default benchmark scale, except the artifact-scale
 # step: its committed row is the 1 M-object build (minutes, about 2 GB peak).
@@ -64,7 +68,7 @@ bench-json:
 	REPRO_BENCH_JSON=BENCH_scoring.json $(PYTHON) -m pytest \
 		benchmarks/bench_scoring.py -q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_solver.json $(PYTHON) -m pytest \
-		benchmarks/bench_solver_backend.py -q -s -o python_files="bench_*.py"
+		benchmarks/bench_solver.py -q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_pruning.json $(PYTHON) -m pytest \
 		benchmarks/bench_pruning.py -q -s -o python_files="bench_*.py"
 	REPRO_BENCH_JSON=BENCH_service.json $(PYTHON) -m pytest \

@@ -12,6 +12,7 @@ length (lower is better at equal quota) and the end-to-end APP result weight.
 from __future__ import annotations
 
 from repro.core import APPSolver
+from repro.core.dense import DenseInstance
 from repro.core.kmst import QuotaTreeSolver
 from repro.core.scaling import ScalingContext
 from repro.evaluation.reporting import format_table
@@ -26,9 +27,10 @@ def test_ablation_quota_solver_ladder(benchmark, ny_runner, ny_default_workload)
     )
     scaled = scaling.scale_weights(instance.weights)
 
-    full = QuotaTreeSolver(instance.graph, instance.weights, scaled)
+    dense = DenseInstance.from_graph(instance.graph, instance.weights)
+    full = QuotaTreeSolver(instance.graph, instance.weights, scaled, dense)
     single_rung = QuotaTreeSolver(
-        instance.graph, instance.weights, scaled, lambda_factors=(1.0,)
+        instance.graph, instance.weights, scaled, dense, lambda_factors=(1.0,)
     )
 
     total = full.total_scaled_weight()

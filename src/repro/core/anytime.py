@@ -245,9 +245,11 @@ class QueryPolicy:
 class ResultQuality:
     """Self-reported quality of an (approximate) answer.
 
-    ``regret_bound`` — admissible upper bound on how much scaled weight the
-    returned region can be missing versus the best the solver would have
-    found unbudgeted (anytime runs; 0.0 when the run finished in budget).
+    ``regret_bound`` — admissible upper bound on how much weight the returned
+    region can be missing versus the best the solver would have found
+    unbudgeted (anytime runs; 0.0 when the run finished in budget). The unit
+    is raw σ_v, the unit of ``RegionResult.weight``, not the θ-scaled
+    integers of the APP and TGEN tuple arrays.
     ``ci`` — 95% confidence half-width on the returned region's weight
     (sampled runs). Either may be None when not applicable.
     """

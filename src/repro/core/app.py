@@ -215,25 +215,17 @@ class APPSolver:
     ) -> Optional[Tuple[ScalingContext, Dict[int, int], QuotaTreeSolver]]:
         if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
             return None
-        dense = instance.dense_view()
-        if dense is not None:
-            # Dense path: θ from the precomputed σmax aggregate, σ̂ in one
-            # vectorised pass; the scaled dict replays the weight-dict order, so
-            # everything downstream (terminal sort, prizes) is bit-identical.
-            scaling = ScalingContext.from_sigma_max(
-                instance.sigma_max(), instance.num_candidate_nodes, self.alpha
-            )
-            scaled_list = scaling.scale_array(dense.sigma).tolist()
-            ids_list = dense.ids_list()
-            scaled_weights = {
-                ids_list[pos]: scaled_list[pos]
-                for pos in dense.relevant_order.tolist()
-            }
-        else:
-            scaling = ScalingContext.build(
-                instance.weights, instance.num_candidate_nodes, self.alpha
-            )
-            scaled_weights = scaling.scale_weights(instance.weights)
+        # θ from the precomputed σmax aggregate and σ̂ in one vectorised pass,
+        # keyed in weight-dict order (relevant_order).
+        dense = instance.ensure_dense()
+        scaling = ScalingContext.from_sigma_max(
+            instance.sigma_max(), instance.num_candidate_nodes, self.alpha
+        )
+        scaled_list = scaling.scale_array(dense.sigma).tolist()
+        ids_list = dense.ids_list()
+        scaled_weights = {
+            ids_list[pos]: scaled_list[pos] for pos in dense.relevant_order.tolist()
+        }
         kwargs = {}
         if self.lambda_factors is not None:
             kwargs["lambda_factors"] = self.lambda_factors
@@ -241,8 +233,8 @@ class APPSolver:
             instance.graph,
             instance.weights,
             scaled_weights,
+            dense,
             closure_neighbors=self.closure_neighbors,
-            dense=dense,
             **kwargs,
         )
         return scaling, scaled_weights, quota_solver

@@ -1,11 +1,9 @@
 """The dense problem-instance substrate: position-indexed solver input.
 
-PR 2–4 made the *inputs* to the solvers array-first (CSR network snapshots, the
-columnar σ_v pipeline), but the solvers themselves still ran pure-Python loops
-over ``Dict[int, float]`` weights keyed by global node ids — per-hop hashing on
-every neighbour visit. :class:`DenseInstance` closes that gap: it renumbers the
-query window into contiguous *local positions* and stores everything a solver's
-hot loop needs as flat arrays indexed by position:
+Greedy, TGEN and APP's quota solver traverse the query window only through
+:class:`DenseInstance`. It renumbers the window into contiguous *local
+positions* and stores everything a solver's hot loop needs as flat arrays
+indexed by position, so no loop hashes a global node id per hop:
 
 * ``ids``            — local position → global node id (int64), in window order;
 * ``xs / ys``        — node coordinates (float64), aligned with ``ids``;
@@ -16,14 +14,15 @@ hot loop needs as flat arrays indexed by position:
 * ``relevant_order`` — positions of the weighted nodes in *weight-dict
   iteration order* (int32) — the key to the identity contract below.
 
-On top of the arrays the instance precomputes the aggregates every solver used
-to rescan the weight dict for: ``sigma_max``, ``total_weight``, the relevant
-positions, and the window's ``tau_max`` (longest edge).
+On top of the arrays the instance precomputes the aggregates the solvers would
+otherwise rescan the weight dict for: ``sigma_max``, ``total_weight``, the
+relevant positions, and the window's ``tau_max`` (longest edge).
 
-**Identity contract.** The dense substrate is a *representation* change, not an
-algorithm change: solvers running on it must return byte-identical results to
-the dict reference backend (same regions, same tie-breaks, bit-equal floats).
-Three properties make that possible and are load-bearing:
+**Identity contract.** The substrate is a *representation* of the paper's
+id-keyed algorithms, not a change to them: the solvers return byte-identical
+results to the frozen dict-keyed reference loops the parity suites keep as a
+test oracle (same regions, same tie-breaks, bit-equal floats). Three properties
+make that possible and are load-bearing:
 
 1. **Order preservation** — local positions follow the window graph's node
    iteration order, and per-row neighbour order replicates ``neighbor_items``;
@@ -55,6 +54,23 @@ from repro.network.compact import CompactNetwork, GraphView
 if TYPE_CHECKING:  # pragma: no cover - typing only (instance imports dense)
     from repro.core.instance import ProblemInstance
     from repro.core.query import LCMSRQuery
+
+
+_OUTSIDE_GRAPH = "node weights reference nodes outside the window graph"
+
+
+def check_weight_keys(graph: GraphView, weights: Mapping[int, float]) -> None:
+    """Reject weight keys that are not nodes of ``graph``.
+
+    The rule :meth:`DenseInstance.from_graph` enforces, for instances whose
+    substrate is built later: a key outside the graph would otherwise enter
+    σmax and the scaling factor θ before any solver sees the graph.
+
+    Raises:
+        QueryError: If a weight key is not a node of ``graph``.
+    """
+    if not all(graph.contains(node_id) for node_id in weights):
+        raise QueryError(_OUTSIDE_GRAPH)
 
 
 class DenseInstance:
@@ -135,9 +151,8 @@ class DenseInstance:
         The fast path — a :class:`~repro.network.compact.CompactNetwork` window
         view — shares the snapshot's six arrays and maps the weight keys to
         positions with one vectorised searchsorted; any other
-        :class:`~repro.network.compact.GraphView` is frozen first (the fallback
-        used when a dict-backed instance is explicitly switched to the dense
-        backend).
+        :class:`~repro.network.compact.GraphView` (a dict-backed
+        :class:`~repro.network.graph.RoadNetwork`) is frozen first.
 
         Raises:
             QueryError: If a weight key is not a node of ``graph`` (instances
@@ -159,7 +174,7 @@ class DenseInstance:
             order, sorted_ids = compact.id_sort_order()
             slots = np.searchsorted(sorted_ids, keys)
             if (slots >= n).any() or (sorted_ids[np.minimum(slots, n - 1)] != keys).any():
-                raise QueryError("node weights reference nodes outside the window graph")
+                raise QueryError(_OUTSIDE_GRAPH)
             positions = order[slots].astype(np.int32, copy=False)
             sigma[positions] = values
         else:
@@ -241,8 +256,8 @@ class DenseInstance:
         """Re-materialise the node-weight dict, in the source dict's order.
 
         The returned dict iterates exactly like the dict the instance was built
-        from (``relevant_order`` recorded it), which is what keeps the dict
-        *reference* backend byte-identical when it runs on a rebuilt view.
+        from (``relevant_order`` recorded it), so every dict-view consumer sees
+        the same order on a rebuilt view.
 
         Deliberately NOT memoised on the substrate: substrates sit in the
         serving layer's LRU precisely because they carry no per-entry dict, so
@@ -258,9 +273,9 @@ class DenseInstance:
     ) -> "ProblemInstance":
         """Wrap the substrate into a full :class:`ProblemInstance` for ``query``.
 
-        The weight dict is materialised lazily on first access; the Greedy and
-        TGEN dense hot loops never touch it, while APP's quota solver and the
-        Exact oracle (deliberate dict-view consumers) rebuild it per wrapper.
+        The weight dict is materialised lazily on first access; Greedy and
+        TGEN never touch it, while APP and the Exact oracle, the dict-view
+        consumers, rebuild it per wrapper.
         This is how the serving layer's instance cache re-binds one cached
         substrate to many queries.
         """

@@ -21,16 +21,16 @@ docs/ARCHITECTURE.md, "Deviations from the paper".
 
 Candidate enumeration order is part of the determinism contract: each round scans
 the region's members in *insertion order* and each member's neighbours in graph
-iteration order. The dense backend (:class:`~repro.core.dense.DenseInstance`)
-replays exactly that sequence — members append their CSR rows (with ranks
-precomputed once) to one flat candidate table as they join, so one list-indexed
-scan selects the same attachment, bit for bit, as the dict loops.
+iteration order, and ties on ρ go to the smaller node id. The solver reads the
+window as a :class:`~repro.core.dense.DenseInstance`: members append their CSR
+rows (with ranks precomputed once) to one flat candidate table as they join, so
+each round is one list-indexed scan in exactly that order.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -70,21 +70,16 @@ class GreedySolver:
             node in the window is relevant.
         """
         start = time.perf_counter()
-        dense = instance.dense_view()
+        dense = instance.ensure_dense()
         prune_stats: Dict[str, float] = {}
-        if dense is not None:
-            region = self._grow_dense(
-                dense,
-                instance.query.delta,
-                bytearray(dense.num_nodes),
-                pruning=instance.pruning_enabled,
-                stats=prune_stats,
-                budget=instance.budget,
-            )
-        else:
-            region = self._grow(
-                instance, excluded=set(), budget=instance.budget, stats=prune_stats
-            )
+        region = self._grow(
+            dense,
+            instance.query.delta,
+            bytearray(dense.num_nodes),
+            pruning=instance.pruning_enabled,
+            stats=prune_stats,
+            budget=instance.budget,
+        )
         runtime = time.perf_counter() - start
         stats = {"nodes_expanded": float(region.num_nodes)} if region else {}
         stats.update(prune_stats)
@@ -104,43 +99,29 @@ class GreedySolver:
         """
         start = time.perf_counter()
         k = k or instance.query.k
-        dense = instance.dense_view()
+        dense = instance.ensure_dense()
         results: List[RegionResult] = []
         prune_stats: Dict[str, float] = {}
         budget = instance.budget
-        if dense is not None:
-            excluded_mask = bytearray(dense.num_nodes)
-            position_of = dense.position_of()
-            for _ in range(k):
-                region = self._grow_dense(
-                    dense,
-                    instance.query.delta,
-                    excluded_mask,
-                    pruning=instance.pruning_enabled,
-                    stats=prune_stats,
-                    budget=budget,
-                )
-                if region is None or region.is_empty:
-                    break
-                results.append(RegionResult(region, self.name))
-                for node_id in region.nodes:
-                    excluded_mask[position_of[node_id]] = 1
-                if budget is not None and budget.expired_now():
-                    prune_stats["budget_expired"] = 1.0
-                    break
-        else:
-            excluded: Set[int] = set()
-            for _ in range(k):
-                region = self._grow(
-                    instance, excluded=excluded, budget=budget, stats=prune_stats
-                )
-                if region is None or region.is_empty:
-                    break
-                results.append(RegionResult(region, self.name))
-                excluded |= set(region.nodes)
-                if budget is not None and budget.expired_now():
-                    prune_stats["budget_expired"] = 1.0
-                    break
+        excluded_mask = bytearray(dense.num_nodes)
+        position_of = dense.position_of()
+        for _ in range(k):
+            region = self._grow(
+                dense,
+                instance.query.delta,
+                excluded_mask,
+                pruning=instance.pruning_enabled,
+                stats=prune_stats,
+                budget=budget,
+            )
+            if region is None or region.is_empty:
+                break
+            results.append(RegionResult(region, self.name))
+            for node_id in region.nodes:
+                excluded_mask[position_of[node_id]] = 1
+            if budget is not None and budget.expired_now():
+                prune_stats["budget_expired"] = 1.0
+                break
         runtime = time.perf_counter() - start
         annotate_anytime_stats(
             instance, sum(r.region.weight for r in results), prune_stats
@@ -153,75 +134,6 @@ class GreedySolver:
     # ------------------------------------------------------------------ expansion
     def _grow(
         self,
-        instance: ProblemInstance,
-        excluded: Set[int],
-        budget=None,
-        stats: Optional[Dict[str, float]] = None,
-    ) -> Optional[Region]:
-        graph = instance.graph
-        weights = instance.weights
-        delta = instance.query.delta
-        seeds = [
-            (weight, node_id)
-            for node_id, weight in weights.items()
-            if node_id not in excluded and node_id in graph
-        ]
-        if not seeds:
-            return None
-        sigma_max = max(weight for weight, _ in seeds)
-        if sigma_max <= 0:
-            return None
-        tau_max = graph.max_edge_length() or 1.0
-        _, seed = max(seeds)
-
-        region_order: List[int] = [seed]
-        region_nodes: Set[int] = {seed}
-        region_edges: Set[Tuple[int, int]] = set()
-        total_length = 0.0
-
-        while True:
-            # Cooperative deadline: stop between expansion rounds and return
-            # the region grown so far (budget=None skips the check entirely).
-            if budget is not None and budget.expired():
-                if stats is not None:
-                    stats["budget_expired"] = 1.0
-                break
-            best_candidate: Optional[Tuple[float, int, int, float]] = None
-            for member in region_order:
-                for neighbor, edge_length in graph.neighbor_items(member):
-                    if neighbor in region_nodes or neighbor in excluded:
-                        continue
-                    if total_length + edge_length > delta + 1e-12:
-                        continue
-                    weight = weights.get(neighbor, 0.0)
-                    rank = (
-                        self.mu * (1.0 - edge_length / tau_max)
-                        + (1.0 - self.mu) * weight / sigma_max
-                    )
-                    candidate = (rank, neighbor, member, edge_length)
-                    if best_candidate is None or candidate[0] > best_candidate[0] or (
-                        abs(candidate[0] - best_candidate[0]) <= 1e-12
-                        and candidate[1] < best_candidate[1]
-                    ):
-                        best_candidate = candidate
-            if best_candidate is None:
-                break
-            _, neighbor, member, edge_length = best_candidate
-            region_order.append(neighbor)
-            region_nodes.add(neighbor)
-            region_edges.add(edge_key(member, neighbor))
-            total_length += edge_length
-
-        weight_total = sum(weights.get(node_id, 0.0) for node_id in region_order)
-        return Region(
-            nodes=frozenset(region_nodes),
-            edges=frozenset(region_edges),
-            length=total_length,
-            weight=weight_total,
-        )
-
-    def _grow_dense(
-        self,
         dense: DenseInstance,
         delta: float,
         excluded: bytearray,
@@ -229,22 +141,22 @@ class GreedySolver:
         stats: Optional[Dict[str, float]] = None,
         budget=None,
     ) -> Optional[Region]:
-        """Array-first twin of :meth:`_grow` over local node positions.
+        """Grow one region from the heaviest non-excluded node.
 
         Candidate ranks are constants per (member, neighbour) edge, so each new
         member appends its CSR row — rank precomputed once — to one flat
-        candidate table; per round a single scan over that table applies the
-        reference comparison with list indexing only (no per-candidate dict
-        hashing, set probing or rank re-derivation). The scan order equals the
-        dict loop's member-insertion × neighbour-row order and the rank
-        arithmetic keeps the reference expression tree, so the selected
-        attachment is identical, bit for bit.
+        candidate table; per round a single scan over that table, in
+        member-insertion × neighbour-row order, picks the best attachment with
+        list indexing only (no per-candidate dict hashing, set probing or rank
+        re-derivation). Expansion stops when no candidate fits the remaining
+        length budget; ``excluded`` (a byte mask over positions) holds the
+        nodes of regions grown earlier by :meth:`solve_topk`.
 
         With ``pruning`` enabled the table is periodically *compacted*: entries
         that are permanently dead — their target already joined the region or is
         excluded, or the (monotonically growing) used length can no longer admit
         their edge — are dropped once they make up over half the table. The
-        reference scan merely ``continue``s over exactly those entries, and the
+        unpruned scan merely ``continue``s over exactly those entries, and the
         survivors keep their order, so the selected attachment is unchanged.
         ``stats`` (when given) accumulates the ``greedy_candidates_scanned`` /
         ``greedy_candidates_compacted`` counters.
@@ -263,7 +175,7 @@ class GreedySolver:
         if sigma_max <= 0:
             return None
         tau_max = dense.tau_max or 1.0
-        # The reference seeds at max (weight, id): heaviest weight, largest id on ties.
+        # Seed at max (weight, id): heaviest weight, largest id on ties.
         heaviest = available[available_weights == sigma_max]
         seed = int(heaviest[np.argmax(dense.ids[heaviest])])
 
@@ -302,7 +214,7 @@ class GreedySolver:
                 cand_pos.append(position)
                 cand_member.append(member)
                 cand_length.append(edge_length)
-                # Same expression tree as the reference rank computation.
+                # ρ(v) of the module docstring, in that expression order.
                 cand_rank.append(
                     mu * (1.0 - edge_length / tau_max)
                     + one_minus_mu * sigma_list[position] / sigma_max
@@ -341,7 +253,7 @@ class GreedySolver:
             if pruning and dead * 2 > len(cand_pos) and len(cand_pos) > 64:
                 # Compact the table, re-evaluating deadness against the *post-
                 # selection* state (in_region just grew, total_length just
-                # rose): every dropped entry is one the reference scan would
+                # rose): every dropped entry is one the full scan would
                 # forever skip, and survivors keep their relative order, so
                 # future selections are bit-identical.
                 keep = [

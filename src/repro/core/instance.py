@@ -7,20 +7,18 @@ that, and :func:`build_instance` produces it either from the full indexing stack
 (grid index + object mapping) or from explicit node weights (unit tests, the paper's
 Figure 2 example).
 
-Since the dense-substrate refactor an instance carries *two* coupled views of the
-same input:
+An instance carries two coupled views of the same input:
 
 * the **dict view** — ``weights: Dict[int, float]`` keyed by global node ids,
-  consumed by the reference solver backend (and by the Exact oracle); and
+  read by the Exact oracle, APP's tree weights and findOptTree, and the
+  aggregates below; and
 * the **dense view** — a :class:`~repro.core.dense.DenseInstance` of
-  position-indexed arrays, consumed by the solvers' array-first hot loops.
+  position-indexed arrays, through which Greedy, TGEN and APP's quota solver
+  traverse the window (:meth:`ProblemInstance.ensure_dense`).
 
-Either view can be materialised from the other (lazily, cached), and solvers
-must return byte-identical results on both — the cross-backend parity suite
-(``tests/core/test_solver_backend_parity.py``) enforces it. ``solver_backend``
-selects which view the solvers take: ``"auto"`` (dense when the builder
-attached one — the pipeline hot path — dict otherwise), ``"dense"`` (force the
-substrate, building it on demand) or ``"dict"`` (force the reference loops).
+Either view is materialised from the other lazily and cached. The columnar
+pipeline path attaches the dense view at build time; every other source gets it
+built on the first solve.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Iterable, Mapping, Optional, Set
 
-from repro.core.dense import DenseInstance
+from repro.core.dense import DenseInstance, check_weight_keys
 from repro.core.query import LCMSRQuery
 from repro.exceptions import QueryError
 from repro.index.grid import GridIndex
@@ -37,9 +35,6 @@ from repro.network.subgraph import Rectangle, induced_subgraph
 from repro.objects.mapping import NodeObjectMap
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import RelevanceScorer
-
-SOLVER_BACKENDS = ("auto", "dense", "dict")
-"""The valid ``solver_backend`` selectors (shared by every validation site)."""
 
 PRUNING_POLICIES = ("auto", "on", "off")
 """The valid ``pruning`` policy selectors (shared by every validation site).
@@ -66,15 +61,13 @@ class ProblemInstance:
             the mapping have weight 0. Materialised lazily from the dense arrays
             when the instance was created dense-first (e.g. out of the serving
             layer's substrate cache) — the rebuilt dict iterates in the source
-            dict's order, so the reference backend stays byte-identical.
+            dict's order.
         query: The originating LCMSR query.
         build_seconds: Time spent building the instance (index probing + windowing);
             reported separately from solver runtime, mirroring the paper's offline /
             online split.
         dense: The attached :class:`~repro.core.dense.DenseInstance`, or ``None``
             when only the dict view exists (use :meth:`ensure_dense` to build it).
-        solver_backend: ``"auto"`` / ``"dense"`` / ``"dict"`` — which view the
-            solvers consume (see the module docstring).
         pruning: ``"auto"`` / ``"on"`` / ``"off"`` — whether solvers may take
             bound-licensed skips (see :data:`PRUNING_POLICIES`); results are
             byte-identical either way.
@@ -90,7 +83,6 @@ class ProblemInstance:
         query: Optional[LCMSRQuery] = None,
         build_seconds: float = 0.0,
         dense: Optional[DenseInstance] = None,
-        solver_backend: str = "auto",
         pruning: str = "auto",
         budget=None,
         sampling=None,
@@ -99,10 +91,6 @@ class ProblemInstance:
             raise QueryError("a ProblemInstance needs weights, a dense substrate, or both")
         if query is None:
             raise QueryError("a ProblemInstance needs its originating query")
-        if solver_backend not in SOLVER_BACKENDS:
-            raise QueryError(
-                f"solver_backend must be one of {SOLVER_BACKENDS}, got {solver_backend!r}"
-            )
         if pruning not in PRUNING_POLICIES:
             raise QueryError(
                 f"pruning must be one of {PRUNING_POLICIES}, got {pruning!r}"
@@ -110,8 +98,11 @@ class ProblemInstance:
         self.graph = graph
         self.query = query
         self.build_seconds = build_seconds
+        if dense is None:
+            # The substrate that would reject a stray key is built lazily, and
+            # the dict view (σmax, θ, Exact) is read before it: check now.
+            check_weight_keys(graph, weights)
         self.dense = dense
-        self.solver_backend = solver_backend
         self.pruning = pruning
         # Anytime tier (repro.core.anytime): an optional cooperative Budget the
         # solvers poll in their hot loops, and optional SampledWeights metadata
@@ -135,57 +126,17 @@ class ProblemInstance:
             self._weights = self.dense.weights_dict()
         return self._weights
 
-    def dense_view(self) -> Optional[DenseInstance]:
-        """The dense view the solvers should consume, or ``None`` for the dict path.
-
-        Resolution follows :attr:`solver_backend`: ``"dict"`` always returns
-        ``None``; ``"dense"`` builds and caches the substrate on demand; and
-        ``"auto"`` returns whatever the instance builder attached (the columnar
-        pipeline path attaches one, the scalar/test paths do not).
-        """
-        if self.solver_backend == "dict":
-            return None
-        if self.solver_backend == "dense":
-            return self.ensure_dense()
-        return self.dense
-
     def ensure_dense(self) -> DenseInstance:
         """Build (and cache) the dense substrate from the dict view if missing."""
         if self.dense is None:
             self.dense = DenseInstance.from_graph(self.graph, self.weights)
         return self.dense
 
-    def with_backend(self, solver_backend: str) -> "ProblemInstance":
-        """Return a sibling instance sharing every view but pinned to a backend.
-
-        The graph, dict weights and dense substrate are shared, not copied —
-        the parity suite and the runner use this to solve one built instance
-        under both backends.
-        """
-        # Validation happens in the constructor below.
-        sibling = ProblemInstance(
-            graph=self.graph,
-            weights=self._weights,
-            query=self.query,
-            build_seconds=self.build_seconds,
-            dense=self.dense,
-            solver_backend=solver_backend,
-            pruning=self.pruning,
-            budget=self.budget,
-            sampling=self.sampling,
-        )
-        if solver_backend == "dense":
-            sibling.ensure_dense()
-            # Share the lazily built substrate back so repeated switches are free.
-            if self.dense is None:
-                self.dense = sibling.dense
-        return sibling
-
     def with_pruning(self, pruning: str) -> "ProblemInstance":
         """Return a sibling instance sharing every view but pinned to a pruning policy.
 
-        Like :meth:`with_backend`, nothing is copied — the benchmark and the
-        parity suite use this to solve one built instance pruned and unpruned.
+        Nothing is copied — the benchmark and the parity suite use this to
+        solve one built instance pruned and unpruned.
         """
         return ProblemInstance(
             graph=self.graph,
@@ -193,7 +144,6 @@ class ProblemInstance:
             query=self.query,
             build_seconds=self.build_seconds,
             dense=self.dense,
-            solver_backend=self.solver_backend,
             pruning=pruning,
             budget=self.budget,
             sampling=self.sampling,
@@ -213,7 +163,6 @@ class ProblemInstance:
             query=self.query,
             build_seconds=self.build_seconds,
             dense=self.dense,
-            solver_backend=self.solver_backend,
             pruning=self.pruning,
             budget=budget,
             sampling=self.sampling,
@@ -284,7 +233,6 @@ class ProblemInstance:
             weights={n: w for n, w in self.weights.items() if n in keep},
             query=self.query,
             build_seconds=self.build_seconds,
-            solver_backend=self.solver_backend,
             pruning=self.pruning,
         )
 

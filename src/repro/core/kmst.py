@@ -44,7 +44,7 @@ from repro.core.pcst import goemans_williamson_pcst
 from repro.exceptions import SolverError
 from repro.network.compact import GraphView
 from repro.network.graph import edge_key
-from repro.network.shortest_path import dijkstra, dijkstra_positions
+from repro.network.shortest_path import dijkstra_positions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (dense imports nothing from here)
     from repro.core.dense import DenseInstance
@@ -88,14 +88,13 @@ class QuotaTreeSolver:
         closure_neighbors: How many nearest terminals each terminal is linked to in the
             metric-closure graph (the closure MST is always added on top, so the
             closure stays as connected as the underlying window graph allows).
+        dense: The :class:`~repro.core.dense.DenseInstance` of the same window.
+            Every weight key is one of its nodes, so the terminals are the
+            positively scaled keys, and the metric closure runs the local-CSR
+            Dijkstra over it — position-indexed tables, no global-id dict per
+            run.
         lambda_factors: Multipliers applied to the base λ to build the Lagrangian
             ladder; more factors give a finer length/weight trade-off at higher cost.
-        dense: Optional :class:`~repro.core.dense.DenseInstance` of the same
-            window. When given, the terminal set is derived from the dense arrays
-            (every weight key is a window node by construction, so no per-key
-            graph probe) and the metric closure runs on the local-CSR Dijkstra
-            variant — position-indexed tables, no global-id dict per run. The
-            produced closure (distances, paths, candidate trees) is identical.
     """
 
     def __init__(
@@ -103,23 +102,15 @@ class QuotaTreeSolver:
         graph: GraphView,
         weights: Mapping[int, float],
         scaled_weights: Mapping[int, int],
+        dense: "DenseInstance",
         closure_neighbors: int = 8,
         lambda_factors: Sequence[float] = _DEFAULT_LAMBDA_FACTORS,
-        dense: Optional["DenseInstance"] = None,
     ) -> None:
         self._graph = graph
         self._weights = dict(weights)
         self._scaled = {v: int(s) for v, s in scaled_weights.items()}
         self._dense = dense
-        if dense is not None:
-            # Dense instances only carry in-window weights, so the `v in graph`
-            # membership probe (which would materialise the snapshot's id map)
-            # is dropped without changing the terminal set.
-            self._terminals = sorted(v for v, s in self._scaled.items() if s > 0)
-        else:
-            self._terminals = sorted(
-                v for v, s in self._scaled.items() if s > 0 and v in graph
-            )
+        self._terminals = sorted(v for v, s in self._scaled.items() if s > 0)
         self._closure_neighbors = max(1, closure_neighbors)
         self._lambda_factors = tuple(lambda_factors)
         # Lazily built state.
@@ -170,10 +161,7 @@ class QuotaTreeSolver:
         if len(terminals) <= 1:
             return
         nearest: Dict[int, List[Tuple[float, int]]] = {}
-        if self._dense is not None:
-            fill_path = self._collect_closure_dense(terminal_set, nearest)
-        else:
-            fill_path = self._collect_closure_dict(terminal_set, nearest)
+        fill_path = self._collect_closure(terminal_set, nearest)
 
         edge_set: Set[Tuple[int, int]] = set()
         for source in terminals:
@@ -192,55 +180,23 @@ class QuotaTreeSolver:
             if key not in self._closure_paths:
                 fill_path(u, v)
 
-    def _collect_closure_dict(
+    def _collect_closure(
         self,
         terminal_set: Set[int],
         nearest: Dict[int, List[Tuple[float, int]]],
     ):
-        """Per-terminal metric-closure probes through the id-keyed Dijkstra.
+        """Per-terminal metric-closure probes through the local-CSR Dijkstra.
+
+        Records each terminal's distances to the other terminals and the paths
+        to its ``closure_neighbors`` nearest ones. Distances, parents and the
+        touch order equal those of the id-keyed Dijkstra (same relaxation
+        order, same id tie-breaks); only terminal rows are converted back to
+        global ids.
 
         Returns the path-fill callback used for closure-MST edges whose paths
         were not recorded by the nearest-neighbour probes.
         """
-        parents: Dict[int, Dict[int, int]] = {}
-        for source in self._terminals:
-            dist, parent = dijkstra(
-                self._graph, source, targets=set(terminal_set) - {source}
-            )
-            reached = {t: d for t, d in dist.items() if t in terminal_set and t != source}
-            self._closure_dist[source] = reached
-            ranked = sorted((d, t) for t, d in reached.items())
-            nearest[source] = ranked[: self._closure_neighbors]
-            parents[source] = parent
-            for _, target in nearest[source]:
-                key = edge_key(source, target)
-                if key not in self._closure_paths:
-                    self._closure_paths[key] = _reconstruct_path(parent, source, target)
-
-        def fill_path(u: int, v: int) -> None:
-            parent = parents.get(u)
-            if parent is None or (v not in parent and v != u):
-                # The targeted Dijkstra above may have stopped before settling v.
-                _, parent = dijkstra(self._graph, u, targets={v})
-            self._closure_paths[edge_key(u, v)] = _reconstruct_path(parent, u, v)
-
-        return fill_path
-
-    def _collect_closure_dense(
-        self,
-        terminal_set: Set[int],
-        nearest: Dict[int, List[Tuple[float, int]]],
-    ):
-        """Position-indexed twin of :meth:`_collect_closure_dict`.
-
-        Runs the local-CSR Dijkstra variant per terminal — distances, parents
-        and the touch order are identical to the id-keyed path (same relaxation
-        order, same id tie-breaks), so the recorded closure is too; what is
-        saved is the per-run materialisation of full global-id dist/parent
-        dicts (only terminal rows are converted back to ids).
-        """
         dense = self._dense
-        assert dense is not None
         position_of = dense.position_of()
         ids_list = dense.ids_list()
         graph = dense.graph_view()
@@ -464,23 +420,10 @@ class QuotaTreeSolver:
         )
 
 
-def _reconstruct_path(parent: Mapping[int, int], source: int, target: int) -> List[int]:
-    """Rebuild the node sequence from ``source`` to ``target`` using Dijkstra parents."""
-    if source == target:
-        return [source]
-    if target not in parent:
-        raise SolverError(f"no path from {source} to {target} in the query window")
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
 def _reconstruct_path_positions(
     parent: Sequence[int], source_pos: int, target_pos: int, ids: Sequence[int]
 ) -> List[int]:
-    """Position-indexed twin of :func:`_reconstruct_path` (returns node ids)."""
+    """Rebuild the node ids from ``source_pos`` to ``target_pos`` using Dijkstra parents."""
     if source_pos == target_pos:
         return [ids[source_pos]]
     if parent[target_pos] < 0:

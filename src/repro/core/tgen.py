@@ -21,12 +21,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.anytime import annotate_anytime_stats
-from repro.core.dense import DenseInstance
 from repro.core.instance import ProblemInstance
 from repro.core.region import Region
 from repro.core.result import RegionResult, TopKResult
 from repro.core.scaling import ScalingContext
-from repro.core.tuples import EPS, RegionTuple, TupleArray
+from repro.core.tuples import EPS, RegionTuple
 from repro.exceptions import SolverError
 from repro.network.graph import edge_key
 
@@ -129,128 +128,29 @@ class TGENSolver:
         return TopKResult(results, self.name, runtime, stats=quality)
 
     # ------------------------------------------------------------------ core loop
+    #: Pair-count threshold above which per-edge feasibility is prefiltered with a
+    #: vectorised outer sum instead of per-pair Python float arithmetic.
+    _PREFILTER_PAIRS = 32
+
     def _run(
         self,
         instance: ProblemInstance,
         collect_pool: bool,
         pool_size: int = 0,
     ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
-        stats: Dict[str, float] = {"tuples_generated": 0.0, "edges_processed": 0.0}
-        if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
-            return None, [], stats
-        dense = instance.dense_view()
-        if dense is not None:
-            return self._run_dense(instance, dense, collect_pool, pool_size)
-        graph = instance.graph
-        delta = instance.query.delta
-        scaling = ScalingContext.build(
-            instance.weights, instance.num_candidate_nodes, self._effective_alpha(instance)
-        )
-        scaled = scaling.scale_weights(instance.weights)
+        """Algorithm 2 over the dense substrate's local node positions.
 
-        arrays: Dict[int, TupleArray] = {}
-        best: Optional[RegionTuple] = None
-        pool: List[RegionTuple] = []
-        pool_keys: Set[frozenset] = set()
-        for node_id in graph.node_ids():
-            array = TupleArray()
-            singleton = RegionTuple.singleton(
-                node_id, instance.weights.get(node_id, 0.0), scaled.get(node_id, 0)
-            )
-            array.update(singleton)
-            arrays[node_id] = array
-            if singleton.better_than(best):
-                best = singleton
-            if collect_pool and singleton.scaled_weight > 0:
-                _pool_add(pool, pool_keys, singleton, pool_size)
-
-        processed_nodes: Set[int] = set()
-        visited_edges: Set[Tuple[int, int]] = set()
-        visited_nodes: Set[int] = set()
-        budget = instance.budget
-        expired = False
-
-        for start_node in self._start_nodes(instance):
-            if expired:
-                break
-            if start_node in visited_nodes:
-                continue
-            visited_nodes.add(start_node)
-            queue: List[int] = [start_node]
-            head = 0
-            while head < len(queue) and not expired:
-                vi = queue[head]
-                head += 1
-                for vj, edge_length in self._incident_edges(instance, vi):
-                    # Cooperative deadline, polled once per edge: on expiry the
-                    # traversal stops and the incumbent best-so-far is returned.
-                    if budget is not None and budget.expired():
-                        stats["budget_expired"] = 1.0
-                        expired = True
-                        break
-                    key = (vi, vj) if vi <= vj else (vj, vi)
-                    if key in visited_edges:
-                        continue
-                    visited_edges.add(key)
-                    if vj not in visited_nodes:
-                        visited_nodes.add(vj)
-                        queue.append(vj)
-                    if edge_length > delta:
-                        continue
-                    stats["edges_processed"] += 1
-                    new_tuples: List[RegionTuple] = []
-                    for tuple_i in arrays[vi].tuples():
-                        for tuple_j in arrays[vj].tuples():
-                            if tuple_i.length + tuple_j.length + edge_length > delta + 1e-12:
-                                continue
-                            if tuple_i.shares_nodes_with(tuple_j):
-                                continue
-                            combined = tuple_i.combine(tuple_j, vi, vj, edge_length)
-                            new_tuples.append(combined)
-                    stats["tuples_generated"] += len(new_tuples)
-                    for combined in new_tuples:
-                        if combined.better_than(best):
-                            best = combined
-                        if collect_pool:
-                            _pool_add(pool, pool_keys, combined, pool_size)
-                        for member in combined.nodes:
-                            if member in processed_nodes:
-                                continue
-                            array = arrays[member]
-                            array.update(combined)
-                            if (
-                                self.max_tuples_per_node is not None
-                                and len(array) > self.max_tuples_per_node
-                            ):
-                                _evict_worst(array, self.max_tuples_per_node)
-                processed_nodes.add(vi)
-        return best, pool, stats
-
-    # ------------------------------------------------------------------ dense hot loop
-    #: Pair-count threshold above which per-edge feasibility is prefiltered with a
-    #: vectorised outer sum instead of per-pair Python float arithmetic.
-    _PREFILTER_PAIRS = 32
-
-    def _run_dense(
-        self,
-        instance: ProblemInstance,
-        dense: DenseInstance,
-        collect_pool: bool,
-        pool_size: int = 0,
-    ) -> Tuple[Optional[RegionTuple], List[RegionTuple], Dict[str, float]]:
-        """Packed twin of :meth:`_run` over local node positions.
-
-        The reference's decisions (Definition 6 arrays, Lemma 9 disjointness,
-        the combine rule, every float expression) are replayed one for one over
-        packed tuples ``(length, weight, scaled, node_mask, members,
-        edge_mask)``: ``node_mask`` is an int bitset over window positions
-        (Lemma 9 is one ``&``, the node union one ``|``), ``members`` the
-        positions the dominance update walks, ``edge_mask`` a bitset over the
-        edges in processing order. Each array is a ``scaled → tuple`` dict in
-        the reference's insertion order; :class:`RegionTuple` objects are built
-        only for the returned best and top-k pool. The BFS runs over CSR
-        positions, and per-edge pairs are prefiltered by a vectorised
-        ``(l_i + l_j) + τ ≤ Q.∆`` mask that keeps the reference (i-major) order.
+        Every node starts with its singleton tuple; the BFS then processes each
+        edge once and combines the tuple arrays of its endpoints (Definition 6
+        arrays, Lemma 9 disjointness, the combine rule). Tuples are packed as
+        ``(length, weight, scaled, node_mask, members, edge_mask)``:
+        ``node_mask`` is an int bitset over window positions (Lemma 9 is one
+        ``&``, the node union one ``|``), ``members`` the positions the
+        dominance update walks, ``edge_mask`` a bitset over the edges in
+        processing order. Each array is a ``scaled → tuple`` dict in insertion
+        order; :class:`RegionTuple` objects are built only for the returned
+        best and top-k pool. Per-edge pairs are prefiltered by a vectorised
+        ``(l_i + l_j) + τ ≤ Q.∆`` mask that keeps the i-major pair order.
 
         When the instance allows pruning (and no top-k pool is collected — the
         pool deliberately admits zero-scaled tuples), an edge is skipped whole
@@ -262,6 +162,9 @@ class TGENSolver:
         ``max_scaled`` is a monotone per-position upper bound on each array's
         largest key; eviction does not lower it, which only forgoes skips.
         """
+        if not instance.has_relevant_nodes or instance.num_candidate_nodes == 0:
+            return None, [], {"tuples_generated": 0.0, "edges_processed": 0.0}
+        dense = instance.ensure_dense()
         stats: Dict[str, float] = {}
         delta = instance.query.delta
         delta_eps = delta + 1e-12
@@ -302,8 +205,10 @@ class TGENSolver:
         # node's array (exact until an eviction, stale-high after — safe).
         max_scaled: List[int] = list(scaled_list) if prune else []
 
-        # Traversal seeds: every node, relevant (weighted) nodes first — the
-        # position-space equivalent of _start_nodes' sort by (-σ_v, node id).
+        # Traversal seeds: every node, relevant (weighted) nodes first, sorted
+        # by (-σ_v, node id). The paper selects "any unprocessed node"; seeding
+        # with relevant nodes first makes the BFS fronts grow out of the object
+        # clusters, which matches the paper's accuracy and is deterministic.
         start_order = np.lexsort((dense.ids, -dense.sigma)).tolist()
         for start_pos in start_order:
             if expired:
@@ -368,7 +273,7 @@ class TGENSolver:
                             for b, tuple_b in enumerate(tuples_j)
                             if tuple_a[0] + tuple_b[0] + edge_length <= delta_eps
                         )
-                    # Fused generate/apply loop. The reference collects the
+                    # Fused generate/apply loop. Algorithm 2 collects the
                     # feasible combinations first and then applies them in
                     # generation order; collection is side-effect free, so the
                     # fused loop performs the identical update sequence. A
@@ -440,46 +345,6 @@ class TGENSolver:
             stats,
         )
 
-    # ------------------------------------------------------------------ helpers
-    def _start_nodes(self, instance: ProblemInstance) -> List[int]:
-        """Traversal seeds: every node, relevant (weighted) nodes first.
-
-        The paper selects "any unprocessed node"; seeding with relevant nodes first
-        makes the BFS fronts grow out of the object clusters, which we found matches
-        the paper's accuracy while being deterministic for tests.
-        """
-        weights = instance.weights
-        return sorted(
-            instance.graph.node_ids(), key=lambda v: (-weights.get(v, 0.0), v)
-        )
-
-    def _incident_edges(
-        self, instance: ProblemInstance, node_id: int
-    ) -> List[Tuple[int, float]]:
-        items = list(instance.graph.neighbor_items(node_id))
-        if self.edge_order == "length":
-            items.sort(key=lambda pair: pair[1])
-        return items
-
-
-def _pool_add(
-    pool: List[RegionTuple],
-    pool_keys: Set[frozenset],
-    candidate: RegionTuple,
-    pool_size: int,
-) -> None:
-    """Keep a bounded pool of the best distinct tuples seen (top-k support)."""
-    if candidate.nodes in pool_keys:
-        return
-    pool.append(candidate)
-    pool_keys.add(candidate.nodes)
-    if pool_size and len(pool) > 2 * pool_size:
-        pool.sort(key=lambda t: (-t.scaled_weight, -t.weight, t.length))
-        del pool[pool_size:]
-        pool_keys.clear()
-        pool_keys.update(t.nodes for t in pool)
-
-
 def _packed_better(candidate: tuple, best: Optional[tuple]) -> bool:
     """:meth:`RegionTuple.better_than` on packed ``(length, weight, scaled, ...)`` tuples."""
     if best is None:
@@ -492,16 +357,16 @@ def _packed_better(candidate: tuple, best: Optional[tuple]) -> bool:
 
 
 class _PackedPool:
-    """:func:`_pool_add` on packed tuples, deduplicated by ``node_mask``.
+    """The bounded top-k pool of packed tuples, deduplicated by ``node_mask``.
 
-    Replays the reference pool decision for decision: distinct node sets,
-    stably sorted by rank and cut to ``size`` entries whenever it exceeds
-    ``2 * size``. Entries are stored as ``(rank, tuple)`` pairs so the sort
-    compares in C. After a cut, a candidate that ranks at or behind the last
+    Keeps distinct node sets, stably sorted by rank and cut to ``size``
+    entries whenever it exceeds ``2 * size`` — decision for decision the list
+    pool of the dict reference in ``tests/core/dict_reference.py``. Entries
+    are stored as ``(rank, tuple)`` pairs so the sort compares in C. After a cut, a candidate that ranks at or behind the last
     survivor (``floor``) sorts behind every survivor at the next cut
     (survivors were inserted first), so it is certain to be dropped: it is
-    counted and its node set blocks duplicates until that cut, exactly as in
-    the reference, but it is never stored or sorted.
+    counted and its node set blocks duplicates until that cut, as if stored,
+    but it is never stored or sorted.
     """
 
     __slots__ = ("entries", "keys", "size", "floor", "shadowed")
@@ -542,16 +407,6 @@ def _bit_positions(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _evict_worst(array: TupleArray, keep: int) -> None:
-    """Drop the lowest-scaled-weight tuples so the array holds at most ``keep`` entries."""
-    tuples = sorted(array.tuples(), key=lambda t: (-t.scaled_weight, t.length))
-    survivors = tuples[:keep]
-    # Rebuild in place.
-    array._entries.clear()  # noqa: SLF001 - intentional internal rebuild
-    for entry in survivors:
-        array.update(entry)
 
 
 def _rank_distinct(pool: Sequence[RegionTuple], k: int) -> List[RegionTuple]:

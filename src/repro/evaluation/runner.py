@@ -7,25 +7,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Protocol, Sequence, Union
 
-from repro.core.instance import (
-    PRUNING_POLICIES,
-    SOLVER_BACKENDS,
-    ProblemInstance,
-    build_instance,
-)
+from repro.core.instance import PRUNING_POLICIES, ProblemInstance, build_instance
 from repro.core.query import LCMSRQuery
 from repro.core.result import RegionResult
 from repro.datasets.synthetic import SyntheticDataset
 from repro.evaluation.metrics import average_relative_ratio, mean
 from repro.service.bundle import IndexBundle
-
-
-def _validated_solver_backend(solver_backend: Optional[str]) -> str:
-    """Normalise the runner's solver-backend selector (``None`` → ``"auto"``)."""
-    resolved = "auto" if solver_backend is None else solver_backend
-    if resolved not in SOLVER_BACKENDS:
-        raise ValueError(f"unknown solver backend {solver_backend!r}")
-    return resolved
 
 
 def _validated_pruning(pruning: Optional[str]) -> str:
@@ -105,16 +92,6 @@ class ExperimentRunner:
             scalar indexed path), ``"scorer"`` (object-loop reference). The
             columnar and scorer backends produce bit-identical weights; the
             grid backend agrees up to float summation order.
-        solver_backend: Which solver substrate the built instances request
-            (mirrors ``weight_backend`` one layer down). ``None`` (default)
-            leaves instances on ``"auto"``: solvers take the dense
-            position-indexed hot loops exactly when the instance builder
-            attached a :class:`~repro.core.dense.DenseInstance` (the columnar
-            path over a frozen network), the dict reference loops otherwise.
-            Explicit values: ``"dense"`` (force the substrate — built on demand
-            even for scalar weight backends) and ``"dict"`` (force the
-            reference loops). Both backends return byte-identical results; only
-            the solver runtime differs.
         pruning: Bound-based pruning policy the built instances carry. ``None``
             (default) resolves to ``"auto"``; see
             :data:`~repro.core.instance.PRUNING_POLICIES`. Results are
@@ -137,12 +114,10 @@ class ExperimentRunner:
         use_grid_index: bool = True,
         artifact_cache_dir: Optional[Union[str, Path]] = None,
         weight_backend: Optional[str] = None,
-        solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> None:
         self._use_grid_index = use_grid_index
         self._weight_backend = weight_backend
-        self._solver_backend = _validated_solver_backend(solver_backend)
         self._pruning = _validated_pruning(pruning)
         if artifact_cache_dir is not None:
             from repro.service.persist import cached_dataset_bundle
@@ -178,7 +153,6 @@ class ExperimentRunner:
         bundle: IndexBundle,
         use_grid_index: bool = True,
         weight_backend: Optional[str] = None,
-        solver_backend: Optional[str] = None,
         pruning: Optional[str] = None,
     ) -> "ExperimentRunner":
         """Create a runner over an existing bundle (e.g. one loaded from an artifact).
@@ -187,7 +161,6 @@ class ExperimentRunner:
             bundle: The prebuilt (or artifact-loaded) index state.
             use_grid_index: As in the constructor.
             weight_backend: As in the constructor.
-            solver_backend: As in the constructor.
             pruning: As in the constructor.
 
         Returns:
@@ -196,7 +169,6 @@ class ExperimentRunner:
         runner = cls.__new__(cls)
         runner._use_grid_index = use_grid_index
         runner._weight_backend = weight_backend
-        runner._solver_backend = _validated_solver_backend(solver_backend)
         runner._pruning = _validated_pruning(pruning)
         runner._attach(bundle)
         return runner
@@ -212,11 +184,6 @@ class ExperimentRunner:
         return self._resolved_backend
 
     @property
-    def solver_backend(self) -> str:
-        """The solver substrate built instances request (``"auto"`` when unset)."""
-        return self._solver_backend
-
-    @property
     def pruning(self) -> str:
         """The pruning policy built instances carry (``"auto"`` when unset)."""
         return self._pruning
@@ -224,27 +191,23 @@ class ExperimentRunner:
     def build(self, query: LCMSRQuery) -> ProblemInstance:
         """Build the solver input for one query."""
         if self._resolved_backend == "columnar":
-            instance = build_instance(
+            return build_instance(
                 self._graph,
                 query,
                 pipeline=self._bundle.weight_pipeline(),
                 pruning=self._pruning,
             )
-        elif self._resolved_backend == "grid":
-            instance = build_instance(
+        if self._resolved_backend == "grid":
+            return build_instance(
                 self._graph,
                 query,
                 grid_index=self._bundle.grid,
                 mapping=self._bundle.mapping,
                 pruning=self._pruning,
             )
-        else:
-            instance = build_instance(
-                self._graph, query, scorer=self._bundle.scorer, pruning=self._pruning
-            )
-        if self._solver_backend != "auto":
-            instance = instance.with_backend(self._solver_backend)
-        return instance
+        return build_instance(
+            self._graph, query, scorer=self._bundle.scorer, pruning=self._pruning
+        )
 
     def run(
         self,

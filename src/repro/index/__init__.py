@@ -11,20 +11,16 @@ reproduces that layered structure:
 * :mod:`repro.index.inverted` — per-cell inverted lists whose postings carry the
   precomputed ``wto(t)`` term weights of Equation 2, backed by the B+-tree,
 * :mod:`repro.index.grid` — the uniform grid that ties cells to space and answers the
-  query-time "score all relevant objects in Q.Λ" request,
-* :mod:`repro.index.rtree` — a small STR-packed R-tree used by the MaxRS baseline.
+  query-time "score all relevant objects in Q.Λ" request.
 """
 
 from repro.index.bptree import BPlusTree
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.grid import GridIndex
-from repro.index.rtree import RTree, RTreeEntry
 
 __all__ = [
     "BPlusTree",
     "InvertedIndex",
     "Posting",
     "GridIndex",
-    "RTree",
-    "RTreeEntry",
 ]

@@ -37,6 +37,7 @@ from tests.conftest import (
     PAPER_EXAMPLE_WEIGHTS,
     random_weighted_network,
 )
+from tests.core.dict_reference import DictGreedy, DictTGEN
 
 SOLVERS = [GreedySolver(), TGENSolver(), ExactSolver(max_nodes=16)]
 
@@ -215,8 +216,16 @@ class TestBudgetedSolvers:
 
     @pytest.mark.parametrize("backend", ["dict", "dense"])
     def test_truncation_marks_both_backends(self, paper_instance, backend):
-        instance = paper_instance.with_budget(expired_budget()).with_backend(backend)
-        for solver in (GreedySolver(), TGENSolver()):
+        # dict: the frozen dict-keyed oracles; dense: the production solvers
+        # over the instance re-bound from its dense substrate.
+        instance = paper_instance
+        solvers = (GreedySolver(), TGENSolver())
+        if backend == "dict":
+            solvers = (DictGreedy(), DictTGEN())
+        else:
+            instance = instance.ensure_dense().to_problem_instance(instance.query)
+        instance = instance.with_budget(expired_budget())
+        for solver in solvers:
             truncated = solver.solve(instance)
             assert truncated.stats.get("budget_expired") == 1.0
 

@@ -10,7 +10,8 @@ change, so these tests pin the three contracts everything downstream relies on:
   (values *and* iteration order) equal the source weight dict, and the
   aggregates (σmax, total weight) are bit-equal to the reference computations.
 * **Pickle** — a substrate round-trips through pickle into an equivalent one
-  (same arrays, same dict view, same solver results).
+  (same arrays, same dict view, and solver results equal to the dict-keyed
+  oracle's on the original instance).
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from repro.exceptions import QueryError
 from repro.network.builders import random_geometric_network
 from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
+
+from tests.core.dict_reference import DictGreedy, DictTGEN
 
 SEEDS = [5, 19]
 
@@ -97,7 +100,7 @@ class TestRenumbering:
     def test_fallback_from_dict_backed_graph(self, window_setup):
         # The fallback constructor must mirror the *given* graph's iteration
         # order (node rows and per-row neighbours) — that is what makes the
-        # dense loops tie-break identically to the dict loops over that graph.
+        # solvers tie-break identically to the dict-keyed oracle over that graph.
         window, weights = window_setup
         thawed = window.to_network()
         dense = DenseInstance.from_graph(thawed, weights)
@@ -162,13 +165,12 @@ class TestPickleRoundTrip:
         window, weights = window_setup
         query = LCMSRQuery.create(["kw"], delta=900.0)
         instance = build_instance(window, query, node_weights=weights)
-        dense = instance.with_backend("dense").dense
-        rebuilt = pickle.loads(pickle.dumps(dense))
+        rebuilt = pickle.loads(pickle.dumps(instance.ensure_dense()))
         rebound = rebuilt.to_problem_instance(query)
         # The rebound instance has no dict yet; solvers and the lazy dict view
-        # must both reproduce the original results bit for bit.
-        for solver in (GreedySolver(), TGENSolver()):
-            a = solver.solve(instance.with_backend("dict"))
+        # must both reproduce the oracle's results bit for bit.
+        for solver, oracle in ((GreedySolver(), DictGreedy()), (TGENSolver(), DictTGEN())):
+            a = oracle.solve(instance)
             b = solver.solve(rebound)
             assert a.region.nodes == b.region.nodes
             assert a.region.edges == b.region.edges

@@ -4,15 +4,23 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import LCMSRQuery, build_instance
+from repro.core import APPSolver, LCMSRQuery, TGENSolver, build_instance
+from repro.core.instance import ProblemInstance
 from repro.exceptions import QueryError
+from repro.network.compact import CompactNetwork
 from repro.network.builders import grid_network
 from repro.network.subgraph import Rectangle
 from repro.objects.mapping import map_objects_to_network
 from repro.index.grid import GridIndex
 from repro.textindex.relevance import RelevanceScorer
 
-from tests.conftest import make_small_corpus
+from tests.conftest import (
+    PAPER_EXAMPLE_DELTA,
+    PAPER_EXAMPLE_OPTIMUM_NODES,
+    PAPER_EXAMPLE_OPTIMUM_WEIGHT,
+    PAPER_EXAMPLE_WEIGHTS,
+    make_small_corpus,
+)
 
 
 @pytest.fixture
@@ -54,6 +62,30 @@ class TestWeightSources:
         assert 0 in instance.weights
         assert 15 not in instance.weights  # outside the window
         assert 5 not in instance.weights  # zero weight dropped
+
+
+class TestStrayWeightKeys:
+    """A weight key outside the graph is rejected, never scaled into σmax and θ.
+
+    On the Figure 2 graph, a stray ``{999: 50.0}`` used to make σmax 50, so
+    θ-scaling rounded every real node's weight down and TGEN returned {2, 6}
+    (weight 0.7) and APP an empty region instead of {2, 4, 5, 6} (weight 1.1).
+    """
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["dict", "csr"])
+    def test_constructor_rejects_a_key_outside_the_graph(self, paper_graph, freeze):
+        graph = CompactNetwork.from_network(paper_graph) if freeze else paper_graph
+        query = LCMSRQuery.create(["t"], delta=PAPER_EXAMPLE_DELTA)
+        with pytest.raises(QueryError):
+            ProblemInstance(graph, {**PAPER_EXAMPLE_WEIGHTS, 999: 50.0}, query)
+
+    @pytest.mark.parametrize("make_solver", [TGENSolver, APPSolver], ids=["tgen", "app"])
+    def test_in_graph_weights_answer_the_paper_example(self, paper_graph, make_solver):
+        query = LCMSRQuery.create(["t"], delta=PAPER_EXAMPLE_DELTA)
+        instance = ProblemInstance(paper_graph, dict(PAPER_EXAMPLE_WEIGHTS), query)
+        result = make_solver().solve(instance)
+        assert result.region.nodes == PAPER_EXAMPLE_OPTIMUM_NODES
+        assert result.weight == pytest.approx(PAPER_EXAMPLE_OPTIMUM_WEIGHT)
 
 
 class TestWindowing:

@@ -3,13 +3,12 @@
 Bound-based pruning (:mod:`repro.core.bounds` plus the skip branches in the
 Exact, Greedy and TGEN solvers and the instance builder's zero-mass window
 skip) is required to be *skip-only*: for every solver, every scoring mode,
-windowed as well as window-less queries, both graph backends (frozen CSR and
-dict) and both solver substrates (dense and dict), the results under
-``pruning="on"`` must be **byte-identical** to ``pruning="off"`` — same
-regions, same tie-breaks, bit-equal floats. Only skip counters and runtime may
-differ.
+windowed as well as window-less queries and both graph backends (frozen CSR
+and dict), the results under ``pruning="on"`` must be **byte-identical** to
+``pruning="off"`` — same regions, same tie-breaks, bit-equal floats. Only skip
+counters and runtime may differ.
 
-This is the pruning counterpart of the dense-substrate suite in
+This is the pruning counterpart of the dict-oracle suite in
 ``test_solver_backend_parity.py`` (same dataset, seeds and workload shape, so
 failures here isolate the pruning layer). Admissibility of the bounds
 themselves is covered separately in ``test_bounds.py``.
@@ -39,7 +38,7 @@ MODES = [
 ]
 # (scoring mode, freeze_network): frozen bundles exercise the CSR graph backend
 # (and attach the dense substrate eagerly); unfrozen ones keep the dict-backed
-# network, so with_backend("dense") builds the substrate on demand.
+# network, so the solvers build the substrate on demand.
 GRAPH_VARIANTS = [(mode, True) for mode in MODES] + [
     (ScoringMode.TEXT_RELEVANCE, False)
 ]
@@ -103,15 +102,12 @@ class TestHeuristicPruningParity:
     def test_solve_is_byte_identical(self, engine, workload, make_solver):
         solver = make_solver()
         for query in workload:
-            for backend in ("dict", "dense"):
-                instance = engine.build_instance(query).with_backend(backend)
-                pruned = solver.solve(instance.with_pruning("on"))
-                reference = solver.solve(instance.with_pruning("off"))
-                _assert_identical(
-                    pruned,
-                    reference,
-                    (solver.name, backend, query.keywords, query.region),
-                )
+            instance = engine.build_instance(query)
+            pruned = solver.solve(instance.with_pruning("on"))
+            reference = solver.solve(instance.with_pruning("off"))
+            _assert_identical(
+                pruned, reference, (solver.name, query.keywords, query.region)
+            )
 
     @pytest.mark.parametrize(
         "make_solver",
@@ -156,11 +152,9 @@ class TestExactPruningParity:
     def test_branch_and_bound_solve_is_byte_identical(self, engine):
         solver = ExactSolver(max_nodes=16)
         for instance in self._tiny_window_instances(engine):
-            for backend in ("dict", "dense"):
-                bound = instance.with_backend(backend)
-                pruned = solver.solve(bound.with_pruning("on"))
-                reference = solver.solve(bound.with_pruning("off"))
-                _assert_identical(pruned, reference, ("exact", backend))
+            pruned = solver.solve(instance.with_pruning("on"))
+            reference = solver.solve(instance.with_pruning("off"))
+            _assert_identical(pruned, reference, "exact")
 
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_branch_and_bound_topk_matches_exhaustive_enumeration(self, engine, k):

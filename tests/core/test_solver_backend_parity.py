@@ -1,38 +1,53 @@
-"""Seeded cross-backend parity: dense-substrate solvers vs the dict reference.
+"""Seeded parity: the dense-substrate solvers vs the frozen dict-keyed oracle.
 
-The dense solver substrate (:mod:`repro.core.dense`) is required to be a pure
-representation change: for every solver, every scoring mode, and windowed as
-well as window-less queries, the results must be **byte-identical** to the dict
-reference backend — same regions, same tie-breaks, bit-equal floats. This is
-the solver-layer counterpart of PR 2's network-backend and PR 4's
-weight-backend parity suites.
+Greedy, TGEN and APP run only on the position-indexed substrate
+(:mod:`repro.core.dense`), which is required to be a pure representation of
+the paper's id-keyed algorithms: for every solver, every scoring mode, and
+windowed as well as window-less queries, the results must be
+**byte-identical** to the dict-keyed reference loops frozen in
+``dict_reference.py`` — same regions, same tie-breaks, bit-equal floats.
 
 The suite runs the full indexed path (dataset → ``IndexBundle`` → engine →
 ``build_instance`` with the columnar pipeline, which attaches the dense
-substrate) and compares ``solve`` / ``solve_topk`` under
-``with_backend("dict")`` vs ``with_backend("dense")``. Exact runs on a tiny
-window and additionally exercises the dense-first route (an instance created
-from the substrate alone, with the dict view materialised lazily).
+substrate) and compares ``solve`` / ``solve_topk`` of each production solver
+with its oracle twin on the same built instance. It also covers the dense-first
+route the serving layer takes: an instance rebound from the substrate alone,
+with the dict view materialised lazily, including for the dict-reading Exact
+solver.
 """
 
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
 from repro.core.app import APPSolver
 from repro.core.exact import ExactSolver
 from repro.core.greedy import GreedySolver
+from repro.core.instance import build_instance
+from repro.core.query import LCMSRQuery
 from repro.core.tgen import TGENSolver
 from repro.datasets.ny import build_ny_like
 from repro.datasets.queries import generate_workload
 from repro.engine import LCMSREngine
+from repro.network.builders import grid_network
+from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 from repro.service.bundle import IndexBundle
 from repro.textindex.relevance import ScoringMode
 
+from tests.core.dict_reference import DictAPP, DictGreedy, DictTGEN
+
 SEED = 23
+# (production solver, its dict-keyed oracle twin)
+SOLVER_PAIRS = [
+    (GreedySolver, DictGreedy),
+    (TGENSolver, DictTGEN),
+    (APPSolver, DictAPP),
+]
+PAIR_IDS = ["greedy", "tgen", "app"]
 MODES = [
     ScoringMode.TEXT_RELEVANCE,
     ScoringMode.RATING_IF_MATCH,
@@ -72,32 +87,25 @@ def _assert_identical(result_a, result_b, context):
 
 
 class TestHeuristicSolverParity:
-    @pytest.mark.parametrize(
-        "make_solver",
-        [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
-    )
-    def test_solve_is_byte_identical(self, engine, workload, make_solver):
-        solver = make_solver()
+    @pytest.mark.parametrize("make_solver, make_oracle", SOLVER_PAIRS, ids=PAIR_IDS)
+    def test_solve_is_byte_identical(self, engine, workload, make_solver, make_oracle):
+        solver, oracle = make_solver(), make_oracle()
         for query in workload:
             instance = engine.build_instance(query)
             assert instance.dense is not None, "pipeline path must attach the substrate"
-            a = solver.solve(instance.with_backend("dict"))
-            b = solver.solve(instance.with_backend("dense"))
+            a = oracle.solve(instance)
+            b = solver.solve(instance)
             _assert_identical(a, b, (solver.name, query.keywords, query.region))
 
-    @pytest.mark.parametrize(
-        "make_solver", [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
-    )
-    def test_topk_is_byte_identical(self, engine, workload, make_solver):
-        solver = make_solver()
+    @pytest.mark.parametrize("make_solver, make_oracle", SOLVER_PAIRS, ids=PAIR_IDS)
+    def test_topk_is_byte_identical(self, engine, workload, make_solver, make_oracle):
+        solver, oracle = make_solver(), make_oracle()
         for query in workload[:3]:
             instance = engine.build_instance(query)
-            topk_dict = solver.solve_topk(instance.with_backend("dict"), k=3)
-            topk_dense = solver.solve_topk(instance.with_backend("dense"), k=3)
-            assert len(topk_dict.results) == len(topk_dense.results)
-            for a, b in zip(topk_dict.results, topk_dense.results):
+            topk_oracle = oracle.solve_topk(instance, k=3)
+            topk_dense = solver.solve_topk(instance, k=3)
+            assert len(topk_oracle.results) == len(topk_dense.results)
+            for a, b in zip(topk_oracle.results, topk_dense.results):
                 _assert_identical(a, b, (solver.name, query.keywords))
 
 
@@ -119,25 +127,27 @@ def _tgen_stats(result):
 
 
 class TestTGENPackedParity:
-    """The packed TGEN loop against the dict reference on every code path:
+    """The packed TGEN loop against the dict oracle on every code path:
     array eviction, length edge order, ranked top-k pools and budget expiry."""
 
     @pytest.mark.parametrize("cap", [1, 2, 4])
     def test_tuple_cap_eviction(self, engine, workload, cap):
         solver = TGENSolver(max_tuples_per_node=cap)
+        oracle = DictTGEN(max_tuples_per_node=cap)
         for query in workload:
             instance = engine.build_instance(query).with_pruning("off")
-            a = solver.solve(instance.with_backend("dict"))
-            b = solver.solve(instance.with_backend("dense"))
+            a = oracle.solve(instance)
+            b = solver.solve(instance)
             _assert_identical(a, b, (cap, query.keywords, query.region))
             assert _tgen_stats(a) == _tgen_stats(b)
 
     def test_length_edge_order(self, engine, workload):
         solver = TGENSolver(edge_order="length")
+        oracle = DictTGEN(edge_order="length")
         for query in workload:
             instance = engine.build_instance(query).with_pruning("off")
-            a = solver.solve(instance.with_backend("dict"))
-            b = solver.solve(instance.with_backend("dense"))
+            a = oracle.solve(instance)
+            b = solver.solve(instance)
             _assert_identical(a, b, (query.keywords, query.region))
             assert _tgen_stats(a) == _tgen_stats(b)
 
@@ -145,25 +155,26 @@ class TestTGENPackedParity:
     @pytest.mark.parametrize("cap", [None, 2])
     def test_topk_full_ranking(self, engine, workload, k, cap):
         solver = TGENSolver(max_tuples_per_node=cap)
+        oracle = DictTGEN(max_tuples_per_node=cap)
         for query in workload:
             instance = engine.build_instance(query)
-            ranked_dict = solver.solve_topk(instance.with_backend("dict"), k=k).results
-            ranked_dense = solver.solve_topk(instance.with_backend("dense"), k=k).results
-            assert len(ranked_dict) == len(ranked_dense)
-            for rank, (a, b) in enumerate(zip(ranked_dict, ranked_dense)):
+            ranked_oracle = oracle.solve_topk(instance, k=k).results
+            ranked_dense = solver.solve_topk(instance, k=k).results
+            assert len(ranked_oracle) == len(ranked_dense)
+            for rank, (a, b) in enumerate(zip(ranked_oracle, ranked_dense)):
                 _assert_identical(a, b, (k, cap, rank, query.keywords, query.region))
 
     def test_budget_expiry_stops_on_the_same_edge(self, engine, workload):
-        solver = TGENSolver()
+        solver, oracle = TGENSolver(), DictTGEN()
         for query in workload:
             instance = engine.build_instance(query).with_pruning("off")
             full = _PollBudget(math.inf)
-            solver.solve(instance.with_backend("dict").with_budget(full))
+            oracle.solve(instance.with_budget(full))
             for limit in sorted({0, 1, full.polls // 7, full.polls // 3,
                                  (2 * full.polls) // 3, full.polls - 1}):
                 budgets = _PollBudget(limit), _PollBudget(limit)
-                a = solver.solve(instance.with_backend("dict").with_budget(budgets[0]))
-                b = solver.solve(instance.with_backend("dense").with_budget(budgets[1]))
+                a = oracle.solve(instance.with_budget(budgets[0]))
+                b = solver.solve(instance.with_budget(budgets[1]))
                 context = (limit, full.polls, query.keywords, query.region)
                 _assert_identical(a, b, context)
                 assert budgets[0].polls == budgets[1].polls == limit + 1, context
@@ -177,8 +188,6 @@ class TestExactParity:
         for anchor in (600.0, 900.0, 1200.0):
             region = Rectangle(anchor, anchor, anchor + 260.0, anchor + 260.0)
             query_keywords = ["restaurant", "cafe", "bar"]
-            from repro.core.query import LCMSRQuery
-
             query = LCMSRQuery.create(query_keywords, delta=400.0, region=region)
             instance = engine.build_instance(query)
             if 0 < instance.num_candidate_nodes <= 16 and instance.has_relevant_nodes:
@@ -188,16 +197,14 @@ class TestExactParity:
     def test_exact_is_byte_identical_on_tiny_windows(self, engine, dataset):
         instance = self._tiny_window_instance(engine, dataset)
         solver = ExactSolver(max_nodes=16)
-        a = solver.solve(instance.with_backend("dict"))
-        b = solver.solve(instance.with_backend("dense"))
-        _assert_identical(a, b, "exact")
+        a = solver.solve(instance)
         # Dense-first route: the instance rebuilt from the substrate alone
-        # (lazy dict view) must match too — this is what the serving layer's
+        # (lazy dict view) must match — this is what the serving layer's
         # substrate cache hands to the dict-consuming Exact oracle.
         rebound = instance.dense.to_problem_instance(instance.query)
         c = solver.solve(rebound)
         _assert_identical(a, c, "exact-dense-first")
-        topk_a = solver.solve_topk(instance.with_backend("dict"), k=3)
+        topk_a = solver.solve_topk(instance, k=3)
         topk_c = solver.solve_topk(rebound, k=3)
         assert len(topk_a.results) == len(topk_c.results)
         for ra, rb in zip(topk_a.results, topk_c.results):
@@ -207,16 +214,52 @@ class TestExactParity:
 class TestDenseFirstRebindParity:
     """The serving layer rebinding path: substrate → instance → solver."""
 
-    @pytest.mark.parametrize(
-        "make_solver", [GreedySolver, TGENSolver, APPSolver],
-        ids=["greedy", "tgen", "app"],
-    )
-    def test_rebound_instances_solve_identically(self, engine, workload, make_solver):
-        solver = make_solver()
+    @pytest.mark.parametrize("make_solver, make_oracle", SOLVER_PAIRS, ids=PAIR_IDS)
+    def test_rebound_instances_solve_identically(self, engine, workload, make_solver,
+                                                 make_oracle):
+        solver, oracle = make_solver(), make_oracle()
         for query in workload[:2]:
             instance = engine.build_instance(query)
             rebound = instance.dense.to_problem_instance(query)
-            a = solver.solve(instance.with_backend("dict"))
+            a = oracle.solve(instance)
             b = solver.solve(rebound)
             _assert_identical(a, b, (solver.name, query.keywords))
             assert list(rebound.weights.items()) == list(instance.weights.items())
+
+
+class TestTieHeavyParity:
+    """Exact ties, where only the tie-break rules decide the answer.
+
+    On an unjittered grid every edge has the same length and the weights take
+    two values, so Greedy ranks, TGEN tuple lengths and APP quotas tie all the
+    time. The seeded dataset above almost never ties, so this is what pins the
+    tie-break rules (smaller id on equal rank, the EPS dominance window, the
+    pool's stable sort) to the oracle.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("freeze", [False, True], ids=["dict", "csr"])
+    @pytest.mark.parametrize("make_solver, make_oracle", SOLVER_PAIRS, ids=PAIR_IDS)
+    def test_tied_instances_solve_identically(self, seed, freeze, make_solver,
+                                              make_oracle):
+        rng = random.Random(seed)
+        network = grid_network(6, 6, spacing=100.0)
+        graph = CompactNetwork.from_network(network) if freeze else network
+        weights = {
+            node_id: rng.choice([1.0, 2.0])
+            for node_id in network.node_ids()
+            if rng.random() < 0.5
+        }
+        solver, oracle = make_solver(), make_oracle()
+        for delta in (250.0, 500.0):
+            query = LCMSRQuery.create(["kw"], delta=delta)
+            instance = build_instance(graph, query, node_weights=weights)
+            context = (solver.name, seed, delta)
+            _assert_identical(oracle.solve(instance), solver.solve(instance), context)
+            if isinstance(solver, APPSolver):
+                continue  # APP's top-k shares findOptTree; solve covers its input
+            ranked_oracle = oracle.solve_topk(instance, k=4).results
+            ranked = solver.solve_topk(instance, k=4).results
+            assert len(ranked_oracle) == len(ranked), context
+            for rank, (a, b) in enumerate(zip(ranked_oracle, ranked)):
+                _assert_identical(a, b, (context, rank))

@@ -16,9 +16,13 @@ that must hold *between* solver runs:
 * **Feasibility invariants** — every returned region respects the length budget,
   is a connected subgraph of the window, stays inside ``Q.Λ`` and reports a
   weight equal to the sum of its nodes' weights.
-* **Backend identity** — dict-backed and CSR-backed instances produce identical
-  regions under the same seeds (the randomized counterpart of
-  ``test_backend_parity.py``).
+* **Both sides of the identity contract** — every property above is checked
+  twice (the ``backend`` axis): on the frozen dict-keyed oracles of
+  ``dict_reference.py`` over the builder's dict instance, and on the
+  production solvers over a dense-first instance.
+* **Graph-backend identity** — dict-backed and CSR-backed instances produce
+  the regions of the dict-keyed oracle (``dict_reference.py``) under the same
+  seeds (the randomized counterpart of ``test_backend_parity.py``).
 
 All randomness is seeded: each failure is reproducible from the test id alone.
 """
@@ -40,6 +44,8 @@ from repro.network.builders import grid_network, random_geometric_network
 from repro.network.compact import CompactNetwork
 from repro.network.subgraph import Rectangle
 
+from tests.core.dict_reference import DictAPP, DictGreedy, DictTGEN
+
 SEEDS = [3, 11, 27]
 DELTAS = [250.0, 500.0, 900.0, 1400.0]
 
@@ -52,13 +58,32 @@ KEYWORD_POOL = ["alpha", "beta", "gamma", "delta_kw", "epsilon"]
 
 @pytest.fixture(params=["dict", "dense"])
 def backend(request):
-    """Run the whole harness under both solver substrates.
+    """Run the whole harness on both sides of the identity contract.
 
-    The dense backend is a representation change with a byte-identity
-    contract, so every metamorphic property that holds for the dict reference
-    must hold verbatim for it.
+    ``dict`` runs the frozen dict-keyed oracles (``DictGreedy`` / ``DictTGEN``
+    / ``DictAPP``) over the instance :func:`build_instance` returns; ``dense``
+    runs the production solvers over the same instance re-bound from its
+    :class:`~repro.core.dense.DenseInstance` substrate (the serving layer's
+    route, whose dict view Exact rebuilds lazily). The parity suites pin the
+    production solvers to the oracle, so every metamorphic property must hold
+    verbatim on both sides: a property only the oracle loses would mean the
+    parity suites compare against a broken reference.
     """
     return request.param
+
+
+_ORACLES = {GreedySolver: DictGreedy, TGENSolver: DictTGEN, APPSolver: DictAPP}
+
+
+def _solver(make_solver, backend):
+    """The solver ``backend`` runs for ``make_solver`` (Exact has no oracle)."""
+    if backend == "dict":
+        make_solver = _ORACLES.get(make_solver, make_solver)
+    return make_solver()
+
+
+def _heuristics(backend):
+    return [_solver(cls, backend) for cls in (GreedySolver, TGENSolver, APPSolver)]
 
 
 @pytest.fixture(params=["on", "off"])
@@ -89,7 +114,9 @@ def _instance(network, weights, delta, region=None, backend="dict",
               pruning="auto") -> ProblemInstance:
     query = LCMSRQuery.create(["kw"], delta=delta, region=region)
     instance = build_instance(network, query, node_weights=weights)
-    return instance.with_backend(backend).with_pruning(pruning)
+    if backend == "dense":
+        instance = instance.ensure_dense().to_problem_instance(query)
+    return instance.with_pruning(pruning)
 
 
 def _keyword_assignment(network, seed: int) -> Dict[int, List[str]]:
@@ -129,8 +156,9 @@ class TestBudgetMonotonicity:
         solver = ExactSolver(max_nodes=16)
         previous = -1.0
         for delta in (120.0, 250.0, 450.0, 800.0):
-            score = solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+            score = solver.solve(
+                _instance(network, weights, delta, backend=backend, pruning=pruning)
+            ).weight
             assert score >= previous - 1e-12, (
                 f"Exact got worse with a larger budget at delta={delta}"
             )
@@ -143,11 +171,12 @@ class TestBudgetMonotonicity:
                                                pruning):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
-        solver = make_solver()
+        solver = _solver(make_solver, backend)
         previous = -1.0
         for delta in DELTAS:
-            score = solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+            score = solver.solve(
+                _instance(network, weights, delta, backend=backend, pruning=pruning)
+            ).weight
             assert score >= previous - 1e-9, (
                 f"{solver.__class__.__name__} got worse with a larger budget "
                 f"at delta={delta} (seed {seed})"
@@ -158,10 +187,10 @@ class TestBudgetMonotonicity:
     def test_app_is_monotone_up_to_its_guarantee(self, seed, backend, pruning):
         network = _network_for(seed)
         weights = _random_weights(network, seed)
-        solver = APPSolver()
+        solver = _solver(APPSolver, backend)
         scores = [
             solver.solve(_instance(network, weights, delta, backend=backend,
-                      pruning=pruning)).weight
+                                   pruning=pruning)).weight
             for delta in DELTAS
         ]
         for smaller, larger in zip(scores, scores[1:]):
@@ -181,15 +210,13 @@ class TestKeywordMonotonicity:
         keywords = list(KEYWORD_POOL)
         full = solver.solve(
             _instance(network, _match_weights(assignment, keywords), 500.0,
-                      backend=backend,
-                      pruning=pruning)
+                      backend=backend, pruning=pruning)
         ).weight
         for removed in keywords:
             reduced_keywords = [k for k in keywords if k != removed]
             reduced = solver.solve(
                 _instance(network, _match_weights(assignment, reduced_keywords), 500.0,
-                          backend=backend,
-                      pruning=pruning)
+                          backend=backend, pruning=pruning)
             ).weight
             assert reduced <= full + 1e-12, (
                 f"dropping keyword {removed!r} increased the optimal score"
@@ -205,16 +232,14 @@ class TestKeywordMonotonicity:
         assignment = _keyword_assignment(network, seed)
         optimum = ExactSolver(max_nodes=16).solve(
             _instance(network, _match_weights(assignment, KEYWORD_POOL), 500.0,
-                      backend=backend,
-                      pruning=pruning)
+                      backend=backend, pruning=pruning)
         ).weight
-        for solver in (GreedySolver(), TGENSolver(), APPSolver()):
+        for solver in _heuristics(backend):
             for removed in KEYWORD_POOL[:2]:
                 reduced_keywords = [k for k in KEYWORD_POOL if k != removed]
                 score = solver.solve(
                     _instance(network, _match_weights(assignment, reduced_keywords),
-                              500.0, backend=backend,
-                      pruning=pruning)
+                              500.0, backend=backend, pruning=pruning)
                 ).weight
                 assert score <= optimum + 1e-9
 
@@ -234,7 +259,7 @@ class TestFeasibilityInvariants:
         for delta in (400.0, 900.0):
             instance = _instance(network, weights, delta, region=window,
                                  backend=backend)
-            result = make_solver().solve(instance)
+            result = _solver(make_solver, backend).solve(instance)
             region = result.region
             if region.is_empty:
                 continue
@@ -280,7 +305,7 @@ class TestFeasibilityInvariants:
                 sum(weights.get(n, 0.0) for n in result.region.nodes), abs=1e-9
             )
         # No heuristic may beat the exact optimum on the same instance.
-        for solver in (GreedySolver(), TGENSolver(), APPSolver()):
+        for solver in _heuristics(backend):
             assert solver.solve(instance).weight <= result.weight + 1e-9
 
 
@@ -303,16 +328,16 @@ class TestBackendIdentity:
                 query = LCMSRQuery.create(["kw"], delta=delta, region=region)
                 dict_instance = build_instance(network, query, node_weights=weights)
                 csr_instance = build_instance(frozen, query, node_weights=weights)
-                for solver in (GreedySolver(), TGENSolver(), APPSolver()):
-                    reference = solver.solve(dict_instance)
+                for solver, oracle in (
+                    (GreedySolver(), DictGreedy()),
+                    (TGENSolver(), DictTGEN()),
+                    (APPSolver(), DictAPP()),
+                ):
+                    # The dict-keyed oracle over the dict graph is the reference;
+                    # the solvers must coincide with it on BOTH graph backends.
+                    reference = oracle.solve(dict_instance)
+                    self._assert_same(reference, solver.solve(dict_instance))
                     self._assert_same(reference, solver.solve(csr_instance))
-                    # The dense substrate must coincide on BOTH graph backends.
-                    self._assert_same(
-                        reference, solver.solve(dict_instance.with_backend("dense"))
-                    )
-                    self._assert_same(
-                        reference, solver.solve(csr_instance.with_backend("dense"))
-                    )
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_topk_backend_identity(self, seed):
@@ -322,12 +347,12 @@ class TestBackendIdentity:
         query = LCMSRQuery.create(["kw"], delta=700.0, k=3)
         dict_instance = build_instance(network, query, node_weights=weights)
         csr_instance = build_instance(frozen, query, node_weights=weights)
-        for solver in (GreedySolver(), TGENSolver()):
-            topk_dict = solver.solve_topk(dict_instance, k=3)
+        pairs = ((GreedySolver(), DictGreedy()), (TGENSolver(), DictTGEN()))
+        for solver, oracle in pairs:
+            topk_dict = oracle.solve_topk(dict_instance, k=3)
             for other in (
+                solver.solve_topk(dict_instance, k=3),
                 solver.solve_topk(csr_instance, k=3),
-                solver.solve_topk(dict_instance.with_backend("dense"), k=3),
-                solver.solve_topk(csr_instance.with_backend("dense"), k=3),
             ):
                 assert len(topk_dict.results) == len(other.results)
                 for result_d, result_c in zip(topk_dict.results, other.results):
@@ -361,7 +386,8 @@ class TestTopKPruningInvariant:
     def test_pruned_heuristic_topk_is_identical(self, seed, backend):
         network = _network_for(seed + 70)
         weights = _random_weights(network, seed + 70)
-        for solver in (GreedySolver(), TGENSolver()):
+        for make_solver in (GreedySolver, TGENSolver):
+            solver = _solver(make_solver, backend)
             instance = _instance(network, weights, 700.0, backend=backend)
             pruned = solver.solve_topk(instance.with_pruning("on"), k=3)
             reference = solver.solve_topk(instance.with_pruning("off"), k=3)

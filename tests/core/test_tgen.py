@@ -7,11 +7,12 @@ import random
 import pytest
 
 from repro.core import LCMSRQuery, build_instance
-from repro.core.tgen import TGENSolver, _PackedPool, _pool_add, _rank_distinct
+from repro.core.tgen import TGENSolver, _PackedPool, _rank_distinct
 from repro.core.tuples import RegionTuple
 from repro.exceptions import SolverError
 from repro.network.builders import grid_network, paper_example_network, path_network
 
+from tests.core.dict_reference import _pool_add
 from tests.conftest import (
     PAPER_EXAMPLE_DELTA,
     PAPER_EXAMPLE_OPTIMUM_NODES,
@@ -125,7 +126,7 @@ class TestEndToEnd:
 
 
 class TestPackedPool:
-    """The packed top-k pool replays the reference ``_pool_add`` exactly."""
+    """The packed top-k pool replays the oracle's list pool ``_pool_add`` exactly."""
 
     @pytest.mark.parametrize("size", [1, 2, 4, 8])
     def test_matches_reference_pool(self, size):

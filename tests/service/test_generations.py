@@ -53,7 +53,6 @@ from repro.textindex.relevance import ScoringMode
 
 SEED = 11
 SOLVERS = ("app", "tgen", "greedy")
-BACKENDS = ("dict", "dense")
 
 
 def _build_dataset():
@@ -218,9 +217,7 @@ def test_post_compaction_byte_identical_to_cold_rebuild(dataset, base_bundles, m
 
 
 @pytest.mark.parametrize("mode", list(ScoringMode))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_post_compaction_parity_across_solver_backends(dataset, base_bundles,
-                                                       mode, backend):
+def test_post_compaction_instance_parity(dataset, base_bundles, mode):
     rng = random.Random(SEED + 200)
     ops = _mutation_script(dataset.corpus, rng)
     engine = LCMSREngine.from_bundle(base_bundles[mode])
@@ -237,8 +234,8 @@ def test_post_compaction_parity_across_solver_backends(dataset, base_bundles,
 
     for keywords, delta, region in queries:
         query = LCMSRQuery.create(keywords, delta=delta, region=region)
-        hot = engine.build_instance(query).with_backend(backend)
-        ref = cold.build_instance(query).with_backend(backend)
+        hot = engine.build_instance(query)
+        ref = cold.build_instance(query)
         for name in SOLVERS:
             assert _signature(engine.solver(name).solve(hot)) == \
                 _signature(cold.solver(name).solve(ref))

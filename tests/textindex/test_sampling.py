@@ -6,7 +6,8 @@ The sampler's contracts:
   the exact ``node_sums`` answer with zero variance.
 * **Determinism** — the same ``(keywords, window, epsilon, seed)`` produces a
   bit-identical estimate however the index was obtained (fresh build, pickle
-  round trip, artifact save/load) and whichever solver backend consumes it.
+  round trip, artifact save/load), and the solvers answer a sampled instance
+  exactly as the dict-keyed oracle does.
 * **Unbiased-ish with honest CIs** — across seeds, the true σ_v lies inside the
   95% half-width at least ~90% of the time (the committed benchmark measures
   this at scale; here a fast smoke-level check).
@@ -29,6 +30,7 @@ from repro.network.subgraph import Rectangle
 from repro.textindex.columnar import WeightPipeline
 from repro.textindex.relevance import ScoringMode
 
+from tests.core.dict_reference import DictGreedy, DictTGEN
 from tests.textindex.test_columnar import random_setup
 
 KEYWORDS = ("cafe", "bar", "museum")
@@ -126,8 +128,12 @@ class TestDeterminism:
         assert wa.weights == wb.weights
         assert wa.variance == wb.variance
 
-    @pytest.mark.parametrize("solver", [GreedySolver(), TGENSolver()], ids=lambda s: s.name)
-    def test_identical_across_dict_and_dense_backends(self, solver):
+    @pytest.mark.parametrize(
+        "solver, oracle",
+        [(GreedySolver(), DictGreedy()), (TGENSolver(), DictTGEN())],
+        ids=["Greedy", "TGEN"],
+    )
+    def test_identical_to_the_dict_oracle(self, solver, oracle):
         network, pipeline = pipeline_for()
         query = LCMSRQuery.create(KEYWORDS, delta=120.0)
         instance = build_instance(
@@ -137,8 +143,8 @@ class TestDeterminism:
             sample_epsilon=0.3,
             sample_seed=5,
         )
-        dict_result = solver.solve(instance.with_backend("dict"))
-        dense_result = solver.solve(instance.with_backend("dense"))
+        dict_result = oracle.solve(instance)
+        dense_result = solver.solve(instance)
         assert dict_result.region.nodes == dense_result.region.nodes
         assert dict_result.weight == dense_result.weight
 
